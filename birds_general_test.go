@@ -103,14 +103,14 @@ END;
 `); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Rel("v")
+	v, err := db.Get("v")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Contains(birds.Tuple{birds.Int(10)}) || !v.Contains(birds.Tuple{birds.Int(20)}) {
 		t.Errorf("v = %v", v)
 	}
-	r1, _ := db.Rel("r1")
+	r1, _ := db.Get("r1")
 	if !r1.Contains(birds.Tuple{birds.Int(20)}) {
 		t.Errorf("r1 = %v", r1)
 	}

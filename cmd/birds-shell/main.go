@@ -226,7 +226,7 @@ commands:
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: \\show REL")
 		}
-		rel, err := db.Rel(fields[1])
+		rel, err := db.Get(fields[1])
 		if err != nil {
 			return err
 		}

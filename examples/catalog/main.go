@@ -93,7 +93,7 @@ func main() {
 
 	show := func() {
 		for _, n := range []string{"prod", "cats", "products"} {
-			r, err := db.Rel(n)
+			r, err := db.Get(n)
 			if err != nil {
 				log.Fatal(err)
 			}

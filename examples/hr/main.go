@@ -104,7 +104,7 @@ view unused(x:int).
 
 	show := func(names ...string) {
 		for _, n := range names {
-			r, err := db.Rel(n)
+			r, err := db.Get(n)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -68,7 +68,7 @@ func main() {
 
 	show := func(label string) {
 		for _, rel := range []string{"r1", "r2", "v"} {
-			r, err := db.Rel(rel)
+			r, err := db.Get(rel)
 			if err != nil {
 				log.Fatal(err)
 			}

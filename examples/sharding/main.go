@@ -72,7 +72,7 @@ func main() {
 
 	show := func() {
 		for _, n := range []string{"m1", "m2", "measurement"} {
-			r, err := db.Rel(n)
+			r, err := db.Get(n)
 			if err != nil {
 				log.Fatal(err)
 			}

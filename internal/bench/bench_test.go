@@ -185,12 +185,12 @@ func TestFig6ModesAgree(t *testing.T) {
 				names = append(names, info.Name)
 			}
 			for _, name := range names {
-				ref, err := dbs[0].Rel(name)
+				ref, err := dbs[0].Get(name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i < len(dbs); i++ {
-					got, err := dbs[i].Rel(name)
+					got, err := dbs[i].Get(name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -243,11 +243,11 @@ func TestDMLMaintenanceFixture(t *testing.T) {
 		}
 	}
 	for _, vn := range DMLMaintenanceViews() {
-		got, err := db.Rel(vn)
+		got, err := db.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Rel(vn)
+		want, err := ref.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}

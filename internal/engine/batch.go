@@ -34,7 +34,7 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 //     unknown column, contradictory WHERE) rolls back only that
 //     transaction's staged contribution; the rest of the batch is
 //     unaffected.
-//   - Readers (Get, Rel, Snapshot) observe only fully-flushed batches.
+//   - Readers (Get, GetAll) observe only fully-flushed batches.
 //     Staged transactions live outside the store until flush, and the
 //     flush applies the whole batch — base rows plus the incremental
 //     maintenance of every dependent view — under the engine's write lock,
@@ -450,85 +450,53 @@ func (b *Batcher) flushLocked() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	// Phase 1 (read-only): make the staged deltas exact against the current
-	// store, pruning rows a direct writer preempted between admission and
-	// flush (a staged delete of a row no longer present, a staged insert of
-	// a row now present). In the common case nothing is pruned and the
-	// staged relations themselves become the delta (the stage gets fresh
-	// ones below). The store is not touched yet: the WAL record must be
-	// appended before any effect becomes visible, and a failed append must
-	// leave both the store and the staged batch exactly as they were.
+	// Make the staged deltas exact against the current store, pruning rows
+	// a direct writer preempted between admission and flush (a staged
+	// delete of a row no longer present, a staged insert of a row now
+	// present). In the common case nothing is pruned and the staged
+	// relations themselves become the delta. Pruning only reads the store,
+	// so a failed commit leaves both the store and the staged batch as they
+	// were, and a later flush retries the identical batch.
 	changed := make(map[string]eval.Delta, len(names))
-	var pruned []value.Tuple
 	for _, n := range names {
 		arity := b.staged[n]
-		rel := db.store.RelOrEmpty(datalog.Pred(n), arity)
-		ins := b.stage.RelOrEmpty(datalog.Ins(n), arity)
-		del := b.stage.RelOrEmpty(datalog.Del(n), arity)
-		pruned = pruned[:0]
-		del.Each(func(t value.Tuple) {
-			if !rel.Contains(t) {
-				pruned = append(pruned, t)
-			}
-		})
-		for _, t := range pruned {
-			del.Remove(t)
+		d := eval.Delta{
+			Ins: b.stage.RelOrEmpty(datalog.Ins(n), arity),
+			Del: b.stage.RelOrEmpty(datalog.Del(n), arity),
 		}
-		pruned = pruned[:0]
-		ins.Each(func(t value.Tuple) {
-			if rel.Contains(t) {
-				pruned = append(pruned, t)
-			}
-		})
-		for _, t := range pruned {
-			ins.Remove(t)
-		}
-		if !ins.Empty() || !del.Empty() {
-			changed[n] = eval.Delta{Ins: ins, Del: del}
+		exactDelta(db.store.RelOrEmpty(datalog.Pred(n), arity).Contains, d)
+		if !d.Empty() {
+			changed[n] = d
 		}
 	}
+	var net uint64 // counted now: maintenance adds view deltas to changed
+	for _, d := range changed {
+		net += uint64(d.Ins.Len() + d.Del.Len())
+	}
 
-	// Phase 2: one WAL record for the whole batch (this is where the
-	// group-commit fsync amortization happens — one sync per batch, not per
-	// transaction). On failure the batch stays staged and the store is
-	// untouched; the caller sees the error and nothing was acknowledged, so
-	// a later flush can retry the identical batch.
-	if err := db.logWrite(wal.KindBatch, db.walTableDeltas(changed)); err != nil {
+	// One WAL record for the whole batch — this is where the group-commit
+	// fsync amortization happens, one sync per batch, not per transaction —
+	// and one view-maintenance pass over the coalesced delta.
+	if err := db.commitLocked(wal.KindBatch, changed, nil); err != nil {
 		b.resolveTicketLocked(err)
 		return err
 	}
 
-	// Phase 3: apply. Every row applies by construction (phase 1 checked it
-	// against the store, which no one has touched since — we hold the write
-	// lock). Then reset the staged relations through Update, which keeps
-	// their hot probe indexes alive (rebuilt over the empty relation) for
-	// the next batch's admissions; the old relations live on as the delta.
+	// Reset the staged relations through Update, which keeps their hot
+	// probe indexes alive (rebuilt over the empty relation) for the next
+	// batch's admissions; the old relations lived on as the delta.
 	for _, n := range names {
 		arity := b.staged[n]
-		p := datalog.Pred(n)
-		if d, ok := changed[n]; ok {
-			d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
-			d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
-		}
 		b.stage.Update(datalog.Ins(n), value.NewRelation(arity))
 		b.stage.Update(datalog.Del(n), value.NewRelation(arity))
 	}
 	clear(b.staged)
-	var net uint64
-	for _, d := range changed {
-		net += uint64(d.Ins.Len() + d.Del.Len())
-	}
 	b.flushes++
 	b.flushedTxns += uint64(b.txns)
 	b.flushedRows += net
 	b.coalescedRows += b.stagedRows - net
 	b.stagedRows = 0
 	b.txns = 0
-	if len(changed) > 0 {
-		db.maintainViews(changed, nil)
-		db.publishLocked(changed)
-	}
-	db.autoCheckpointLocked()
 	b.resolveTicketLocked(nil)
 	return nil
 }
@@ -593,30 +561,34 @@ func (b *Batcher) buildWantedIndexes() {
 }
 
 // admitTable validates and stages one table transaction: its statements
-// run against the effective relation state (last flushed store overlaid
-// with the staged batch delta and the transaction's own local delta), and
-// the resulting net row delta merges into the staged batch only if every
-// statement succeeded. The store is only read, under the engine read lock.
-// It returns the number of net delta rows the transaction contributed
-// (before cross-transaction cancellation), which feeds the coalescing
-// counters behind Stats.
+// run (txnDelta) against the effective relation state — the last flushed
+// store overlaid with the staged batch delta — and the resulting net row
+// delta merges into the staged batch only if every statement succeeded.
+// The store is only read, under the engine read lock. It returns the
+// number of net delta rows the transaction contributed (before
+// cross-transaction cancellation), which feeds the coalescing counters
+// behind Stats.
 func (b *Batcher) admitTable(name string, decl *datalog.RelDecl, stmts []Statement) (int, error) {
 	arity := decl.Arity()
-	pendIns := b.stage.Ensure(datalog.Ins(name), arity)
-	pendDel := b.stage.Ensure(datalog.Del(name), arity)
-	l := eval.NewDelta(arity) // this transaction's local delta
+	insP, delP := datalog.Ins(name), datalog.Del(name)
+	pendIns := b.stage.Ensure(insP, arity)
+	pendDel := b.stage.Ensure(delP, arity)
 
 	db := b.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	p := datalog.Pred(name)
 
-	effContains := func(t value.Tuple) bool {
+	l := eval.NewDelta(arity)
+	if err := txnDelta(decl, stmts, func(where []Condition) ([]value.Tuple, error) {
+		return b.matchStaged(decl, where)
+	}, l); err != nil {
+		return 0, err // nothing staged: per-transaction rollback
+	}
+	// staged reports membership in the staged state the delta is relative
+	// to.
+	staged := func(t value.Tuple) bool {
 		switch {
-		case l.Ins.Contains(t):
-			return true
-		case l.Del.Contains(t):
-			return false
 		case pendIns.Contains(t):
 			return true
 		case pendDel.Contains(t):
@@ -625,82 +597,78 @@ func (b *Batcher) admitTable(name string, decl *datalog.RelDecl, stmts []Stateme
 		rel := db.store.Rel(p)
 		return rel != nil && rel.Contains(t)
 	}
-	insert := func(t value.Tuple) {
-		if effContains(t) {
-			return
-		}
-		if !l.Del.Remove(t) {
-			l.Ins.Add(t)
-		}
-	}
-	remove := func(t value.Tuple) {
-		if !effContains(t) {
-			return
-		}
-		if !l.Ins.Remove(t) {
-			l.Del.Add(t)
-		}
-	}
 
-	match := func(where []Condition) ([]value.Tuple, error) {
-		return b.matchEffective(name, decl, where, l)
-	}
-	if err := runTableStmts(name, decl, stmts, match, insert, remove); err != nil {
-		return 0, err // l is discarded: nothing staged, per-txn rollback
-	}
-
-	// Commit: merge the transaction's local delta into the staged batch,
-	// cancelling insert/delete pairs across transactions. Insert/Delete on
-	// the stage maintain its probe indexes incrementally.
-	insP, delP := datalog.Ins(name), datalog.Del(name)
+	// Commit: merge the transaction's exact delta into the staged batch —
+	// skipping no-ops, as exactDelta would — and cancel insert/delete pairs
+	// across transactions. Insert/Delete on the stage maintain its probe
+	// indexes incrementally. Each row touches only its own stage entries,
+	// so the membership test stays valid while the merge runs.
+	rows := 0
 	l.Del.Each(func(t value.Tuple) {
+		if !staged(t) {
+			return
+		}
+		rows++
 		if !b.stage.Delete(insP, t) {
 			b.stage.Insert(delP, t)
 		}
 	})
 	l.Ins.Each(func(t value.Tuple) {
+		if staged(t) {
+			return
+		}
+		rows++
 		if !b.stage.Delete(delP, t) {
 			b.stage.Insert(insP, t)
 		}
 	})
-	if !l.Empty() {
+	if rows > 0 {
 		b.staged[name] = arity
 	}
-	return l.Ins.Len() + l.Del.Len(), nil
+	return rows, nil
 }
 
-// matchEffective returns the rows matching where in the effective state
-// (store ⊖ staged deletions ⊕ staged insertions, batch and transaction
-// layers). Store candidates come from an existing hash index when one
-// covers the equality columns — a pure read — and otherwise from a scan,
-// with the index build scheduled for after admission; staged-insertion
-// candidates probe the stage database's own maintained indexes. Must be
-// called with db.mu read-held and b.mu held.
-func (b *Batcher) matchEffective(name string, decl *datalog.RelDecl, where []Condition, l eval.Delta) ([]value.Tuple, error) {
+// matchStaged returns the rows matching where in the staged state (store
+// ⊖ staged deletions ⊕ staged insertions). Store candidates come from an
+// existing hash index when one covers the equality columns — a pure read —
+// and otherwise from a scan, with the index build scheduled for after
+// admission; staged-insertion candidates probe the stage database's own
+// maintained indexes. Must be called with db.mu read-held and b.mu held.
+func (b *Batcher) matchStaged(decl *datalog.RelDecl, where []Condition) ([]value.Tuple, error) {
 	positions, key, none, err := eqProbe(decl, where)
 	if err != nil || none {
 		return nil, err
 	}
+	name := decl.Name
 	p := datalog.Pred(name)
 	insP := datalog.Ins(name)
 	pendDel := b.stage.RelOrEmpty(datalog.Del(name), decl.Arity())
-	out := value.NewRelation(decl.Arity())
-	addIfLive := func(t value.Tuple) error {
+	var out []value.Tuple
+	// add appends t if it matches; store rows are additionally shadowed by
+	// staged deletions. A row both stored and staged (a direct writer
+	// preempted the batch) appears twice, which the set semantics of the
+	// statement fold absorb.
+	add := func(t value.Tuple, fromStore bool) error {
 		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			return err
+		if ok && !(fromStore && pendDel.Contains(t)) {
+			out = append(out, t)
 		}
-		if ok && !pendDel.Contains(t) && !l.Del.Contains(t) {
-			out.Add(t)
-		}
-		return nil
+		return err
+	}
+	each := func(rel *value.Relation, fromStore bool) error {
+		var ierr error
+		rel.EachUntil(func(t value.Tuple) bool {
+			ierr = add(t, fromStore)
+			return ierr == nil
+		})
+		return ierr
 	}
 	// Store candidates.
 	storeScan := positions == nil
 	if !storeScan {
 		if tuples, ok := b.db.store.LookupExisting(p, positions, key); ok {
 			for _, t := range tuples {
-				if err := addIfLive(t); err != nil {
+				if err := add(t, true); err != nil {
 					return nil, err
 				}
 			}
@@ -710,60 +678,22 @@ func (b *Batcher) matchEffective(name string, decl *datalog.RelDecl, where []Con
 		}
 	}
 	if storeScan {
-		var ierr error
-		b.db.store.RelOrEmpty(p, decl.Arity()).EachUntil(func(t value.Tuple) bool {
-			ierr = addIfLive(t)
-			return ierr == nil
-		})
-		if ierr != nil {
-			return nil, ierr
+		if err := each(b.db.store.RelOrEmpty(p, decl.Arity()), true); err != nil {
+			return nil, err
 		}
 	}
-	// Staged-insertion candidates: part of the effective state, shadowed
-	// only by transaction-local deletions. The stage is private to the
-	// batcher, so building its index here mutates nothing shared.
-	addStaged := func(t value.Tuple) error {
-		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			return err
+	// Staged-insertion candidates. The stage is private to the batcher, so
+	// building its index here mutates nothing shared.
+	if positions == nil {
+		if err := each(b.stage.RelOrEmpty(insP, decl.Arity()), false); err != nil {
+			return nil, err
 		}
-		if ok && !l.Del.Contains(t) {
-			out.Add(t)
-		}
-		return nil
+		return out, nil
 	}
-	if positions != nil {
-		for _, t := range b.stage.Lookup(insP, positions, key) {
-			if err := addStaged(t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var serr error
-		b.stage.RelOrEmpty(insP, decl.Arity()).EachUntil(func(t value.Tuple) bool {
-			serr = addStaged(t)
-			return serr == nil
-		})
-		if serr != nil {
-			return nil, serr
+	for _, t := range b.stage.Lookup(insP, positions, key) {
+		if err := add(t, false); err != nil {
+			return nil, err
 		}
 	}
-	// Transaction-local insertions (bounded by this transaction's own
-	// statements — a linear pass is fine).
-	var lerr error
-	l.Ins.EachUntil(func(t value.Tuple) bool {
-		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			lerr = err
-			return false
-		}
-		if ok {
-			out.Add(t)
-		}
-		return true
-	})
-	if lerr != nil {
-		return nil, lerr
-	}
-	return out.Tuples(), nil
+	return out, nil
 }

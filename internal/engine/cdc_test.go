@@ -88,11 +88,10 @@ func TestSubscribeViewMirrorsGet(t *testing.T) {
 	}
 }
 
-// TestBulkLoadFallbackResync is the regression test for the maintenance
-// fallback: LoadTable marks dependent views dirty without computing a
-// view delta, so a view subscriber must be resynced — never left on its
-// stale mirror.
-func TestBulkLoadFallbackResync(t *testing.T) {
+// TestBulkLoadPublishesExactViewDelta: a bulk load is maintained through
+// counted IVM like any other write, so both a table subscriber and a
+// subscriber of a dependent view receive the exact delta — no resync.
+func TestBulkLoadPublishesExactViewDelta(t *testing.T) {
 	db := maintainDB(t)
 	if err := db.Exec(Insert("r2", value.Int(1), value.Int(10))); err != nil {
 		t.Fatal(err)
@@ -116,9 +115,8 @@ func TestBulkLoadFallbackResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The table subscriber gets the exact inserted delta.
 	ev := cdcRecv(t, tableSub)
-	if ev.Resync || len(ev.Inserts) != 3 {
+	if ev.Resync || len(ev.Inserts) != 3 || len(ev.Deletes) != 0 {
 		t.Fatalf("table subscriber: want exact 3-row delta, got %+v", ev)
 	}
 	tableMirror = cdc.ApplyEvent(tableMirror, ev)
@@ -130,34 +128,31 @@ func TestBulkLoadFallbackResync(t *testing.T) {
 		t.Fatalf("table mirror %v != live %v", tableMirror, wantR1)
 	}
 
-	// The view subscriber has no delta to get — it must see exactly one
-	// resync whose snapshot is the refreshed view.
-	ev = cdcRecv(t, viewSub)
-	if !ev.Resync {
-		t.Fatalf("view subscriber: want resync after bulk load, got %+v", ev)
+	// The view delta is exactly the two join rows the load created, in the
+	// same event (same sequence number) as the table delta.
+	vev := cdcRecv(t, viewSub)
+	if vev.Resync || len(vev.Inserts) != 2 || len(vev.Deletes) != 0 || vev.Seq != ev.Seq {
+		t.Fatalf("view subscriber: want exact 2-row delta at seq %d, got %+v", ev.Seq, vev)
 	}
-	viewMirror = cdc.ApplyEvent(viewMirror, ev)
+	viewMirror = cdc.ApplyEvent(viewMirror, vev)
 	wantJ, err := db.Get("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !viewMirror.Equal(wantJ) {
-		t.Fatalf("view mirror %v != live view %v after resync", viewMirror, wantJ)
+	if !viewMirror.Equal(wantJ) || !wantJ.Equal(expectedView(t, db, "j")) {
+		t.Fatalf("view mirror %v != live view %v", viewMirror, wantJ)
 	}
-	if wantJ.Len() != 2 {
-		t.Fatalf("fixture: want 2 join rows, got %v", wantJ)
-	}
-	if st := viewSub.Stats(); st.Resyncs != 1 {
-		t.Fatalf("want exactly one resync, got %+v", st)
+	if st := viewSub.Stats(); st.Resyncs != 0 || st.Dropped != 0 {
+		t.Fatalf("want zero resyncs, got %+v", st)
 	}
 
-	// The stream is healthy again: the next write delivers an exact delta.
+	// The stream stays exact for the next write.
 	if err := db.Exec(Insert("r2", value.Int(99), value.Int(5))); err != nil {
 		t.Fatal(err)
 	}
 	ev = cdcRecv(t, viewSub)
 	if ev.Resync || len(ev.Inserts) != 1 {
-		t.Fatalf("want exact delta after resync, got %+v", ev)
+		t.Fatalf("want exact delta after the load, got %+v", ev)
 	}
 }
 

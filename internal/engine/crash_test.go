@@ -35,9 +35,9 @@ type crashOp func(*DB) error
 func stmtOp(s Statement) crashOp { return func(db *DB) error { return db.Exec(s) } }
 
 // makeCrashOps builds a deterministic operation stream over the maintainDB
-// fixture: random single-statement transactions against r1/r2 (the
-// execTable WAL hook), one bulk load (the KindBulkLoad hook plus the
-// stale-view fallback), one view-targeted transaction (the applyPlan hook),
+// fixture: random single-statement transactions against r1/r2 (KindTxn
+// records), one bulk load (a KindBulkLoad record), one view-targeted
+// transaction (a KindTxn record holding the putback cascade's deltas),
 // and optionally one mid-stream checkpoint (log truncation under live
 // traffic).
 func makeCrashOps(seed int64, n int, withCheckpoint bool) []crashOp {

@@ -12,8 +12,8 @@ import (
 // fsync the kernel may have dropped the dirty pages while keeping the file
 // position, so retrying the append could silently skip bytes. The engine
 // therefore stops accepting writes entirely: the in-flight transaction or
-// batch was rolled back by its hook site (the store never kept a write the
-// WAL didn't take), and every later write fails fast with ErrReadOnly
+// batch never reached the store (commitLocked logs before it applies), and
+// every later write fails fast with ErrReadOnly
 // while reads, snapshots and view queries keep being served from the
 // intact in-memory state.
 //

@@ -117,7 +117,7 @@ func (db *DB) execDirect(stmts []Statement) error {
 	}
 	target := stmts[0].Target
 	if _, ok := db.tables[target]; ok {
-		return db.execTable(target, stmts)
+		return db.execTxn(target, stmts)
 	}
 	if _, ok := db.views[target]; ok {
 		return db.execView(target, stmts)
@@ -136,111 +136,163 @@ func oneTarget(stmts []Statement) error {
 	return nil
 }
 
-// --- statements against base tables -------------------------------------
-
-// execTable applies the statements to a base table, accumulating the
-// transaction's exact net row delta — an insert cancelling an earlier
-// delete (and vice versa) nets out, and no-op statements contribute
-// nothing — and feeds it into the incremental maintenance of the dependent
-// views. A transaction with a net-empty delta leaves every view untouched.
-// A statement error rolls the already-applied part of the delta back, so a
-// failed transaction leaves the store (and every maintained view) exactly
-// as it was — the atomicity Exec promises.
-func (db *DB) execTable(name string, stmts []Statement) error {
-	decl := db.tables[name]
-	p := datalog.Pred(name)
-	d := eval.NewDelta(decl.Arity())
-	insert := func(r value.Tuple) {
-		if db.store.Insert(p, r) {
-			if !d.Del.Remove(r) {
-				d.Ins.Add(r)
-			}
-		}
-	}
-	remove := func(r value.Tuple) {
-		if db.store.Delete(p, r) {
-			if !d.Ins.Remove(r) {
-				d.Del.Add(r)
-			}
-		}
-	}
-	match := func(where []Condition) ([]value.Tuple, error) {
-		return db.matchRows(name, decl, where)
-	}
-	rollback := func() {
-		d.Ins.Each(func(r value.Tuple) { db.store.Delete(p, r) })
-		d.Del.Each(func(r value.Tuple) { db.store.Insert(p, r) })
-	}
-	if err := runTableStmts(name, decl, stmts, match, insert, remove); err != nil {
-		// Roll the applied part of the delta back: atomicity.
-		rollback()
+// commitLocked is the one point at which a write becomes visible: the
+// direct table transaction, the view-targeted plan, the group-commit batch
+// flush and the bulk load all end here. changed holds the exact net delta
+// of every relation the write touches (no row already present is
+// inserted, no absent row deleted); keep names the views the caller
+// updated exactly itself. The WAL record is appended first, so the store
+// never holds a row the log does not; a failed append leaves the store
+// untouched (and the engine read-only, see degrade.go). Then the deltas
+// apply to the store, dependent views are maintained incrementally,
+// subscribers receive the deltas, and the checkpoint trigger is checked.
+// Must run under the write lock.
+func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep map[string]bool) error {
+	if err := db.logWrite(kind, changed); err != nil {
 		return err
 	}
-	if d.Empty() {
+	if len(changed) == 0 {
 		return nil
 	}
-	// One WAL record per direct transaction, before the write is
-	// acknowledged. A failed append unwinds the store: the transaction must
-	// not survive in memory when it cannot survive a crash.
-	if err := db.logWrite(wal.KindTxn, walTxnDelta(name, decl.Arity(), d)); err != nil {
-		rollback()
-		return err
+	for n, d := range changed {
+		p := datalog.Pred(n)
+		if cur := db.store.Rel(p); cur == nil || cur.Empty() {
+			// An empty relation adopts its insertion delta wholesale (a
+			// load into a fresh table pays one hashed pass, not two). The
+			// delta is the caller's and dies with the commit.
+			db.store.Update(p, d.Ins)
+			continue
+		}
+		d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
+		d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
 	}
-	changed := map[string]eval.Delta{name: d}
-	db.maintainViews(changed, nil)
+	db.maintainViews(changed, keep)
 	db.publishLocked(changed)
 	db.autoCheckpointLocked()
 	return nil
 }
 
-// runTableStmts is the statement loop shared by the direct write path
-// (execTable) and batch admission (Batcher.admitTable): the transaction
-// semantics — arity validation, WHERE matching, UPDATE as delete-then-
-// insert of the matched rows — live here once, parameterized over the
-// effective state the statements run against (the store directly, or the
-// store overlaid with staged batch deltas).
-func runTableStmts(name string, decl *datalog.RelDecl, stmts []Statement,
-	match func([]Condition) ([]value.Tuple, error),
-	insert, remove func(value.Tuple)) error {
+// --- the statement loop ---------------------------------------------------
+
+// execTxn derives a table transaction's exact net row delta against the
+// store and commits it: an insert cancelling an earlier delete (and vice
+// versa) nets out, and no-op statements contribute nothing, so a
+// transaction with a net-empty delta leaves every view untouched. Nothing
+// reaches the store before the commit point, so a statement error leaves
+// the database exactly as it was — the atomicity Exec promises.
+func (db *DB) execTxn(name string, stmts []Statement) error {
+	decl := db.tables[name]
+	d := eval.NewDelta(decl.Arity())
+	if err := txnDelta(decl, stmts, func(where []Condition) ([]value.Tuple, error) {
+		return db.matchRows(decl, where)
+	}, d); err != nil {
+		return err
+	}
+	exactDelta(db.store.RelOrEmpty(datalog.Pred(name), decl.Arity()).Contains, d)
+	if d.Empty() {
+		return nil
+	}
+	return db.commitLocked(wal.KindTxn, map[string]eval.Delta{name: d}, nil)
+}
+
+// txnDelta implements Algorithm 2, the one statement loop of the engine:
+// fold the per-statement insertion and deletion sets into the transaction's
+// delta d (empty on entry), with later statements overriding earlier ones.
+// match returns, in a fresh slice, the rows of the base state the
+// transaction runs against (the store, or the store overlaid with a staged
+// batch) that satisfy a WHERE clause; the fold layers the transaction's own
+// effects on top, so every statement sees (base ∖ del) ∪ ins. The result is
+// relative to the base state and may hold no-ops (an insert of a present
+// row); exactDelta normalizes it. The caller owns d, so a delta that never
+// leaves the caller can live on its stack.
+func txnDelta(decl *datalog.RelDecl, stmts []Statement, match func([]Condition) ([]value.Tuple, error), d eval.Delta) error {
+	// matchEffective returns the rows of (base ∖ del) ∪ ins matching where.
+	matchEffective := func(where []Condition) ([]value.Tuple, error) {
+		base, err := match(where)
+		if err != nil || d.Empty() {
+			return base, err
+		}
+		out := base[:0] // filter in place: match's slice is ours
+		for _, r := range base {
+			if !d.Del.Contains(r) {
+				out = append(out, r)
+			}
+		}
+		var ierr error
+		d.Ins.EachUntil(func(r value.Tuple) bool {
+			ok, err := rowMatches(decl, r, where)
+			if ok {
+				out = append(out, r)
+			}
+			ierr = err
+			return err == nil
+		})
+		return out, ierr
+	}
+
 	for _, s := range stmts {
+		var plus, minus []value.Tuple
+		var err error
 		switch s.Kind {
 		case StmtInsert:
 			if len(s.Row) != decl.Arity() {
-				return fmt.Errorf("engine: INSERT arity mismatch on %q", name)
+				return fmt.Errorf("engine: INSERT arity mismatch on %q", decl.Name)
 			}
-			insert(s.Row)
+			plus = []value.Tuple{s.Row}
 		case StmtDelete:
-			rows, err := match(s.Where)
-			if err != nil {
-				return err
-			}
-			for _, r := range rows {
-				remove(r)
-			}
+			minus, err = matchEffective(s.Where)
 		case StmtUpdate:
-			rows, err := match(s.Where)
-			if err != nil {
-				return err
+			if minus, err = matchEffective(s.Where); err == nil {
+				plus, err = applyAssignments(decl, minus, s.Set)
 			}
-			updated, err := applyAssignments(decl, rows, s.Set)
-			if err != nil {
-				return err
-			}
-			for _, r := range rows {
-				remove(r)
-			}
-			for _, r := range updated {
-				insert(r)
-			}
+		}
+		if err != nil {
+			return err
+		}
+		// ΔV+ ← (ΔV+ \ δ−) ∪ δ+ ; ΔV− ← (ΔV− ∪ δ−) \ δ+ (Algorithm 2,
+		// with a statement's own deletions applied before its insertions —
+		// an UPDATE rewriting a row to itself is a net no-op, per
+		// Appendix D's "deletions followed by insertions").
+		for _, r := range minus {
+			d.Ins.Remove(r)
+			d.Del.Add(r)
+		}
+		for _, r := range plus {
+			d.Ins.Add(r)
+			d.Del.Remove(r)
 		}
 	}
 	return nil
 }
 
+// exactDelta prunes d in place to the exact net change against a state
+// given by its membership test: inserting a present row and deleting an
+// absent one are no-ops under set semantics.
+func exactDelta(contains func(value.Tuple) bool, d eval.Delta) {
+	var pruned []value.Tuple
+	d.Ins.Each(func(t value.Tuple) {
+		if contains(t) {
+			pruned = append(pruned, t)
+		}
+	})
+	for _, t := range pruned {
+		d.Ins.Remove(t)
+	}
+	pruned = pruned[:0]
+	d.Del.Each(func(t value.Tuple) {
+		if !contains(t) {
+			pruned = append(pruned, t)
+		}
+	})
+	for _, t := range pruned {
+		d.Del.Remove(t)
+	}
+}
+
 // --- statements against views --------------------------------------------
 
 // execView derives the transaction's view delta (Algorithm 2), checks the
-// constraints, propagates through the strategy cascade, and applies the
+// constraints, propagates through the strategy cascade, and commits the
 // resulting plan atomically.
 func (db *DB) execView(name string, stmts []Statement) error {
 	v := db.views[name]
@@ -249,85 +301,17 @@ func (db *DB) execView(name string, stmts []Statement) error {
 			return err
 		}
 	}
-	ins, del, err := db.viewDelta(name, v.Decl, stmts)
-	if err != nil {
+	d := eval.NewDelta(v.Decl.Arity())
+	if err := txnDelta(v.Decl, stmts, func(where []Condition) ([]value.Tuple, error) {
+		return db.matchRows(v.Decl, where)
+	}, d); err != nil {
 		return err
 	}
-
 	pl := newPlan()
-	if err := db.propagate(name, ins, del, pl); err != nil {
+	if err := db.propagate(name, d, pl); err != nil {
 		return err
 	}
-	return db.applyPlan(pl)
-}
-
-// viewDelta implements Algorithm 2: fold the per-statement insertion and
-// deletion sets into ΔV, with later statements overriding earlier ones.
-func (db *DB) viewDelta(name string, decl *datalog.RelDecl, stmts []Statement) (ins, del *value.Relation, err error) {
-	arity := decl.Arity()
-	ins, del = value.NewRelation(arity), value.NewRelation(arity)
-
-	// matchEffective returns the rows of (V \ del) ∪ ins matching where.
-	matchEffective := func(where []Condition) ([]value.Tuple, error) {
-		base, err := db.matchRows(name, decl, where)
-		if err != nil {
-			return nil, err
-		}
-		var out []value.Tuple
-		for _, r := range base {
-			if !del.Contains(r) {
-				out = append(out, r)
-			}
-		}
-		for _, r := range ins.Tuples() {
-			okRow, err := rowMatches(decl, r, where)
-			if err != nil {
-				return nil, err
-			}
-			if okRow {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	}
-
-	for _, s := range stmts {
-		var plus, minus []value.Tuple
-		switch s.Kind {
-		case StmtInsert:
-			if len(s.Row) != arity {
-				return nil, nil, fmt.Errorf("engine: INSERT arity mismatch on %q", name)
-			}
-			plus = []value.Tuple{s.Row}
-		case StmtDelete:
-			minus, err = matchEffective(s.Where)
-			if err != nil {
-				return nil, nil, err
-			}
-		case StmtUpdate:
-			minus, err = matchEffective(s.Where)
-			if err != nil {
-				return nil, nil, err
-			}
-			plus, err = applyAssignments(decl, minus, s.Set)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		// ΔV+ ← (ΔV+ \ δ−) ∪ δ+ ; ΔV− ← (ΔV− ∪ δ−) \ δ+ (Algorithm 2,
-		// with a statement's own deletions applied before its insertions —
-		// an UPDATE rewriting a row to itself is a net no-op, per
-		// Appendix D's "deletions followed by insertions").
-		for _, r := range minus {
-			ins.Remove(r)
-			del.Add(r)
-		}
-		for _, r := range plus {
-			ins.Add(r)
-			del.Remove(r)
-		}
-	}
-	return ins, del, nil
+	return db.commitPlan(pl)
 }
 
 // plan accumulates the changes of one transaction before anything is
@@ -353,35 +337,21 @@ func (p *plan) add(name string, arity int, ins, del *value.Relation) {
 // propagate evaluates the update strategy of view name against the view
 // delta and records the source deltas in the plan, cascading into sources
 // that are themselves views.
-func (db *DB) propagate(name string, ins, del *value.Relation, pl *plan) error {
+func (db *DB) propagate(name string, d eval.Delta, pl *plan) error {
 	v := db.views[name]
-	cur := db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity())
-	// Normalize: inserting a present tuple and deleting an absent one are
-	// no-ops under set semantics.
-	normIns := value.NewRelation(v.Decl.Arity())
-	ins.Each(func(t value.Tuple) {
-		if !cur.Contains(t) {
-			normIns.Add(t)
-		}
-	})
-	normDel := value.NewRelation(v.Decl.Arity())
-	del.Each(func(t value.Tuple) {
-		if cur.Contains(t) {
-			normDel.Add(t)
-		}
-	})
-	if normIns.Empty() && normDel.Empty() {
+	exactDelta(db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity()).Contains, d)
+	if d.Empty() {
 		return nil
 	}
-	pl.add(name, v.Decl.Arity(), normIns, normDel)
+	pl.add(name, v.Decl.Arity(), d.Ins, d.Del)
 
-	deltas := make(map[string][2]*value.Relation) // source -> (ins, del)
+	deltas := make(map[string]eval.Delta) // per source relation
 	if v.Incremental {
-		if err := db.evalIncremental(v, normIns, normDel, deltas); err != nil {
+		if err := db.evalIncremental(v, d.Ins, d.Del, deltas); err != nil {
 			return err
 		}
 	} else {
-		if err := db.evalFull(name, v, normIns, normDel, deltas); err != nil {
+		if err := db.evalFull(name, v, d.Ins, d.Del, deltas); err != nil {
 			return err
 		}
 	}
@@ -392,10 +362,10 @@ func (db *DB) propagate(name string, ins, del *value.Relation, pl *plan) error {
 			continue
 		}
 		if _, isTable := db.tables[s]; isTable {
-			pl.add(s, db.tables[s].Arity(), d[0], d[1])
+			pl.add(s, db.tables[s].Arity(), d.Ins, d.Del)
 			continue
 		}
-		if err := db.propagate(s, d[0], d[1], pl); err != nil {
+		if err := db.propagate(s, d, pl); err != nil {
 			return err
 		}
 	}
@@ -406,7 +376,7 @@ func (db *DB) propagate(name string, ins, del *value.Relation, pl *plan) error {
 // relations +v / -v, the incremental program is evaluated, and the source
 // deltas are collected. Cost is proportional to the view delta once the
 // store's indexes are warm.
-func (db *DB) evalIncremental(v *View, ins, del *value.Relation, deltas map[string][2]*value.Relation) error {
+func (db *DB) evalIncremental(v *View, ins, del *value.Relation, deltas map[string]eval.Delta) error {
 	// The ∂put and constraint programs overwrite their IDB relations in the
 	// shared store; drop the get-side counts that described them.
 	db.invalidateForStrategyRun(v)
@@ -443,7 +413,7 @@ func (db *DB) evalIncremental(v *View, ins, del *value.Relation, deltas map[stri
 // is temporarily replaced by the updated view, the full strategy is
 // evaluated (cost proportional to the base tables), and the source deltas
 // are collected.
-func (db *DB) evalFull(name string, v *View, ins, del *value.Relation, deltas map[string][2]*value.Relation) error {
+func (db *DB) evalFull(name string, v *View, ins, del *value.Relation, deltas map[string]eval.Delta) error {
 	// The strategy evaluation overwrites its IDB relations in the shared
 	// store; drop the get-side counts that described them.
 	db.invalidateForStrategyRun(v)
@@ -471,50 +441,37 @@ func (db *DB) evalFull(name string, v *View, ins, del *value.Relation, deltas ma
 }
 
 // collectDeltas clones the evaluated ±source relations out of the store.
-func collectDeltas(store *eval.Database, v *View, deltas map[string][2]*value.Relation) {
+func collectDeltas(store *eval.Database, v *View, deltas map[string]eval.Delta) {
 	for _, s := range v.Strategy.Prog.Sources {
 		ins := store.RelOrEmpty(datalog.Ins(s.Name), s.Arity()).Clone()
 		del := store.RelOrEmpty(datalog.Del(s.Name), s.Arity()).Clone()
 		if ins.Empty() && del.Empty() {
 			continue
 		}
-		deltas[s.Name] = [2]*value.Relation{ins, del}
+		deltas[s.Name] = eval.Delta{Ins: ins, Del: del}
 	}
 }
 
-// applyPlan validates the accumulated plan (no relation may both insert and
-// delete the same tuple) and applies it to the store, maintaining indexes.
-// The exact net delta of every applied relation — only rows whose
-// membership actually changed — then drives the incremental maintenance of
-// the dependent views outside the plan; views inside the plan were updated
-// exactly and stay clean.
-func (db *DB) applyPlan(pl *plan) error {
+// commitPlan validates the accumulated plan (no relation may both insert
+// and delete the same tuple) and commits the exact net delta of every
+// relation in it — only rows whose membership actually changes. That delta
+// drives the incremental maintenance of the dependent views outside the
+// plan; views inside the plan were updated exactly and stay clean.
+func (db *DB) commitPlan(pl *plan) error {
 	names := make([]string, 0, len(pl.ins))
 	for n := range pl.ins {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	changed := make(map[string]eval.Delta, len(names))
+	keep := make(map[string]bool)
 	for _, n := range names {
 		if common := pl.ins[n].Intersect(pl.del[n]); !common.Empty() {
 			return fmt.Errorf("engine: contradictory updates on %q: tuple %s both inserted and deleted",
 				n, common.Tuples()[0])
 		}
-	}
-	changed := make(map[string]eval.Delta, len(names))
-	keep := make(map[string]bool)
-	for _, n := range names {
-		p := datalog.Pred(n)
-		d := eval.NewDelta(pl.ins[n].Arity())
-		pl.del[n].Each(func(t value.Tuple) {
-			if db.store.Delete(p, t) {
-				d.Del.Add(t)
-			}
-		})
-		pl.ins[n].Each(func(t value.Tuple) {
-			if db.store.Insert(p, t) {
-				d.Ins.Add(t)
-			}
-		})
+		d := eval.Delta{Ins: pl.ins[n], Del: pl.del[n]}
+		exactDelta(db.store.RelOrEmpty(datalog.Pred(n), d.Ins.Arity()).Contains, d)
 		if !d.Empty() {
 			changed[n] = d
 		}
@@ -522,22 +479,7 @@ func (db *DB) applyPlan(pl *plan) error {
 			keep[n] = true // maintained exactly by the plan
 		}
 	}
-	// One WAL record for the whole view-targeted transaction, holding only
-	// its base-table deltas (view rows are derived state — recovery
-	// re-materializes them from the recovered base tables). A failed append
-	// unwinds everything the plan applied, views included.
-	if err := db.logWrite(wal.KindTxn, db.walTableDeltas(changed)); err != nil {
-		for n, d := range changed {
-			p := datalog.Pred(n)
-			d.Ins.Each(func(t value.Tuple) { db.store.Delete(p, t) })
-			d.Del.Each(func(t value.Tuple) { db.store.Insert(p, t) })
-		}
-		return err
-	}
-	db.maintainViews(changed, keep)
-	db.publishLocked(changed)
-	db.autoCheckpointLocked()
-	return nil
+	return db.commitLocked(wal.KindTxn, changed, keep)
 }
 
 // --- row matching ---------------------------------------------------------
@@ -618,12 +560,12 @@ func eqProbe(decl *datalog.RelDecl, where []Condition) (positions []int, key val
 
 // matchRows returns the stored rows of a relation matching the conditions,
 // probing a hash index on the equality columns when possible.
-func (db *DB) matchRows(name string, decl *datalog.RelDecl, where []Condition) ([]value.Tuple, error) {
+func (db *DB) matchRows(decl *datalog.RelDecl, where []Condition) ([]value.Tuple, error) {
 	positions, key, none, err := eqProbe(decl, where)
 	if err != nil || none {
 		return nil, err
 	}
-	p := datalog.Pred(name)
+	p := datalog.Pred(decl.Name)
 	var candidates []value.Tuple
 	if positions != nil {
 		candidates = db.store.Lookup(p, positions, key)

@@ -14,17 +14,16 @@ import (
 // This file wires the write-ahead log (internal/wal) into the engine's
 // write paths, giving the in-memory database crash-consistent durability:
 //
-//   - every point at which writes become visible appends one WAL record
-//     BEFORE the write is acknowledged: execTable (one record per direct
-//     transaction), applyPlan (one record per view-targeted transaction,
-//     holding the base-table deltas its putback cascade produced),
-//     Batcher.flushLocked (ONE record per group-commit batch, so the fsync
-//     is amortized across the batch exactly like the maintenance pass),
-//     and LoadTable (a bulk-load record);
-//   - a failed append leaves the store untouched (the hook sites roll
-//     back) and the write reports an error — the WAL never acknowledges a
-//     write the store didn't take, and the store never keeps a write the
-//     WAL didn't take. The failed append also poisoned the log (the
+//   - every write becomes visible at one point, commitLocked, which
+//     appends one WAL record BEFORE it touches the store: one record per
+//     direct transaction, per view-targeted transaction (holding the
+//     base-table deltas its putback cascade produced), per group-commit
+//     batch (so the fsync is amortized across the batch exactly like the
+//     maintenance pass), and per bulk load;
+//   - a failed append leaves the store untouched (nothing was applied yet)
+//     and the write reports an error — the WAL never acknowledges a write
+//     the store didn't take, and the store never holds a write the WAL
+//     didn't take. The failed append also poisoned the log (the
 //     fsyncgate rule: a file whose page-cache state is unknown is never
 //     retried), so the engine transitions to read-only degraded mode
 //     (degrade.go): reads keep working, writes fail fast with ErrReadOnly
@@ -74,8 +73,8 @@ type DurabilityOptions struct {
 	FS wal.FS
 }
 
-// durability is the engine-side durability state, guarded by db.mu (every
-// write path already holds the write lock at its WAL hook) — except
+// durability is the engine-side durability state, guarded by db.mu (the
+// commit point holds the write lock at its WAL append) — except
 // ckptWG, which Reopen/DisableDurability wait on WITHOUT holding db.mu
 // (the background checkpoint goroutine takes db.mu to finish).
 type durability struct {
@@ -307,18 +306,23 @@ func (db *DB) checkpointLocked() error {
 	return nil
 }
 
-// logWrite appends one WAL record for a write that is about to be (or has
-// just been) applied to the store, fsyncing per the configured mode. It
-// must run under the engine write lock. On error nothing was acknowledged;
-// the caller must roll its store changes back and fail the write — and the
-// engine has transitioned to read-only degraded mode, because the log is
-// poisoned (see degrade.go).
-func (db *DB) logWrite(kind wal.Kind, tables []wal.TableDelta) error {
+// logWrite appends one WAL record holding the base-table deltas of a write
+// that is about to be applied to the store, fsyncing per the configured
+// mode (a write that changes no base table appends nothing). It must run
+// under the engine write lock. On error nothing was acknowledged; the
+// caller must fail the write without applying it — and the engine has
+// transitioned to read-only degraded mode, because the log is poisoned
+// (see degrade.go).
+func (db *DB) logWrite(kind wal.Kind, changed map[string]eval.Delta) error {
 	if db.ro != nil {
 		return db.readOnlyErrLocked()
 	}
 	d := db.dur
-	if d == nil || len(tables) == 0 {
+	if d == nil {
+		return nil
+	}
+	tables := db.walTableDeltas(changed)
+	if len(tables) == 0 {
 		return nil
 	}
 	sync := false
@@ -390,11 +394,6 @@ func (db *DB) ddlCheckpointLocked() error {
 		return db.readOnlyErrLocked()
 	}
 	return db.checkpointLocked()
-}
-
-// walTxnDelta renders one table's net delta as a WAL record body.
-func walTxnDelta(name string, arity int, d eval.Delta) []wal.TableDelta {
-	return []wal.TableDelta{{Name: name, Arity: arity, Ins: d.Ins.Tuples(), Del: d.Del.Tuples()}}
 }
 
 // walTableDeltas renders the base-table subset of a changed-relations map

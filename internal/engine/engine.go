@@ -29,7 +29,7 @@ import (
 
 // DB is an in-memory relational database with updatable views. All public
 // methods are safe for concurrent use. Transactions serialize on a write
-// lock; read-only operations (Rel on tables and clean views, IsView, View,
+// lock; read-only operations (Get on tables and clean views, IsView, View,
 // Relations) run concurrently under a read lock. Reading a stale view
 // upgrades to the write lock, because rematerialization mutates the store.
 type DB struct {
@@ -40,7 +40,6 @@ type DB struct {
 	dirty       map[string]bool // views whose materialization is stale
 	viewOrder   []string        // views in dependency order (sources first); rebuilt on CreateView
 	parallelism int             // evaluator workers for views (0 = sequential)
-	execMode    eval.ExecMode   // execution strategy for view evaluators (zero = streaming)
 
 	// batcher, when non-nil, routes Exec through the group-commit write
 	// pipeline (batch.go). Atomic so Exec can read it without taking the
@@ -48,15 +47,15 @@ type DB struct {
 	batcher atomic.Pointer[Batcher]
 
 	// dur, when non-nil, is the crash-durability state (durable.go): the
-	// attached write-ahead log and checkpoint policy. Guarded by mu — every
-	// write path holds the write lock at its WAL hook, which is what makes
-	// log order identical to commit order.
+	// attached write-ahead log and checkpoint policy. Guarded by mu — the
+	// one commit point (commitLocked) appends under the write lock, which
+	// is what makes log order identical to commit order.
 	dur *durability
 
 	// hub, when non-nil, is the change-data-capture subscription hub
 	// (subscribe.go). Created lazily by the first Subscribe and kept for
 	// the life of the DB (it survives Reopen — subscriptions outlive a
-	// state swap by resyncing). Guarded by mu; every publish site holds
+	// state swap by resyncing). Guarded by mu; commitLocked publishes under
 	// the write lock, so hub sequence order is commit order.
 	hub *cdc.Hub
 
@@ -138,34 +137,6 @@ func (v *View) setParallelism(p int) {
 		v.consEval.SetParallelism(p)
 	}
 	v.Strategy.Evaluator().SetParallelism(p)
-}
-
-// SetExecMode selects the execution strategy for full evaluations behind
-// view operations, for existing and future views: eval.ExecStreaming (the
-// default) pipelines joins through ephemeral hash tables built on the small
-// side; eval.ExecMaterialized restores the index-everything executor. The
-// two produce identical results — materialized mode exists as the
-// differential oracle and as an escape hatch. Incremental delta propagation
-// is unaffected either way.
-func (db *DB) SetExecMode(m eval.ExecMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.execMode = m
-	for _, v := range db.views {
-		v.setExecMode(m)
-	}
-}
-
-// setExecMode applies the execution strategy to every evaluator of the view.
-func (v *View) setExecMode(m eval.ExecMode) {
-	v.getEval.SetExecMode(m)
-	if v.incEval != nil {
-		v.incEval.SetExecMode(m)
-	}
-	if v.consEval != nil {
-		v.consEval.SetExecMode(m)
-	}
-	v.Strategy.Evaluator().SetExecMode(m)
 }
 
 // CreateTable registers a base table.
@@ -312,7 +283,6 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 	if par > 0 {
 		v.setParallelism(par)
 	}
-	v.setExecMode(db.execMode)
 
 	// The initial materialization below may overwrite auxiliary relations
 	// an existing view's get program also materializes; those views' counts
@@ -428,70 +398,14 @@ func (db *DB) View(name string) *View {
 }
 
 // Stale reports whether a view's materialization is currently stale — the
-// fallback state in which the next read fully recomputes it. Steady-state
-// DML keeps views clean (maintained incrementally in place); bulk loads
-// and maintenance failures mark them stale. Tables are never stale.
+// fallback state in which the next read fully recomputes it. Writes —
+// DML and bulk loads alike — keep views clean (maintained incrementally in
+// place); only maintenance failures mark them stale. Tables are never
+// stale.
 func (db *DB) Stale(name string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.dirty[name]
-}
-
-// Rel returns the current contents of a table or view (recomputing a stale
-// view first). The returned relation must not be mutated, and it is live:
-// a later transaction on the same relation updates it in place, so
-// iterating it concurrently with writes to that relation is a data race.
-// Callers that read while other goroutines may write should use Get, which
-// returns an immutable O(1) copy-on-write snapshot instead.
-//
-// Tables and clean views are served under the read lock, so concurrent
-// readers do not serialize. A stale view re-acquires the write lock
-// (rematerialization mutates the store) and rechecks, since another
-// transaction may have intervened.
-func (db *DB) Rel(name string) (*value.Relation, error) {
-	return db.read(name, false)
-}
-
-// read is the shared protocol behind Rel and Get: serve tables and clean
-// views under the read lock; upgrade to the write lock (and recheck —
-// another transaction may have intervened) to refresh a stale view. With
-// snap the relation is wrapped in a copy-on-write snapshot before the lock
-// is released, so no writer can slip in between resolution and snapshot.
-func (db *DB) read(name string, snap bool) (*value.Relation, error) {
-	out := func(r *value.Relation) *value.Relation {
-		if snap {
-			return r.Snapshot()
-		}
-		return r
-	}
-	db.mu.RLock()
-	if d, ok := db.tables[name]; ok {
-		r := out(db.store.RelOrEmpty(datalog.Pred(name), d.Arity()))
-		db.mu.RUnlock()
-		return r, nil
-	}
-	if v, ok := db.views[name]; ok && !db.dirty[name] {
-		r := out(db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity()))
-		db.mu.RUnlock()
-		return r, nil
-	}
-	db.mu.RUnlock()
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if d, ok := db.tables[name]; ok {
-		return out(db.store.RelOrEmpty(datalog.Pred(name), d.Arity())), nil
-	}
-	v, ok := db.views[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown relation %q", name)
-	}
-	if db.dirty[name] {
-		if err := db.refresh(name); err != nil {
-			return nil, err
-		}
-	}
-	return out(db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity())), nil
 }
 
 // Get returns an immutable snapshot of the current contents of a table or
@@ -505,18 +419,34 @@ func (db *DB) read(name string, snap bool) (*value.Relation, error) {
 // Tables and clean views are served under the read lock, so concurrent
 // readers do not serialize. A stale view re-acquires the write lock
 // (rematerialization mutates the store) and rechecks, since another
-// transaction may have intervened.
+// transaction may have intervened. The snapshot is taken before the lock
+// is released, so no writer can slip in between resolution and snapshot.
 func (db *DB) Get(name string) (*value.Relation, error) {
-	return db.read(name, true)
-}
+	db.mu.RLock()
+	if d, ok := db.tables[name]; ok {
+		r := db.store.RelOrEmpty(datalog.Pred(name), d.Arity()).Snapshot()
+		db.mu.RUnlock()
+		return r, nil
+	}
+	if v, ok := db.views[name]; ok && !db.dirty[name] {
+		r := db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity()).Snapshot()
+		db.mu.RUnlock()
+		return r, nil
+	}
+	db.mu.RUnlock()
 
-// Snapshot returns an immutable snapshot of the current contents of a
-// table or view, safe to iterate while later transactions run. It is Get
-// under its historical name: since snapshots went copy-on-write it no
-// longer copies the relation, so there is no reason to prefer Rel for
-// read-heavy workloads.
-func (db *DB) Snapshot(name string) (*value.Relation, error) {
-	return db.Get(name)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	d := db.relDecl(name)
+	if d == nil {
+		return nil, fmt.Errorf("engine: unknown relation %q", name)
+	}
+	if db.dirty[name] {
+		if err := db.refresh(name); err != nil {
+			return nil, err
+		}
+	}
+	return db.store.RelOrEmpty(datalog.Pred(name), d.Arity()).Snapshot(), nil
 }
 
 // GetAll returns immutable snapshots of several relations taken under ONE
@@ -571,9 +501,9 @@ func (db *DB) GetAll(names ...string) (map[string]*value.Relation, error) {
 
 // refresh fully rematerializes a view (and, first, its stale sources) —
 // the fallback path for views whose incremental maintenance state is
-// unavailable (bulk loads, maintenance errors, stale sources). Steady-state
-// DML never comes through here: maintainViews adjusts clean views in place
-// and leaves the dirty flag unset.
+// unavailable (maintenance errors, stale sources). Writes never come
+// through here: maintainViews adjusts clean views in place and leaves the
+// dirty flag unset.
 func (db *DB) refresh(name string) error {
 	v := db.views[name]
 	for _, s := range v.sources {
@@ -605,31 +535,13 @@ func (db *DB) refresh(name string) error {
 	return nil
 }
 
-// markDependentsDirty flags every view that transitively reads any of the
-// changed relations, except those in keep (already maintained exactly).
-func (db *DB) markDependentsDirty(changed map[string]bool, keep map[string]bool) {
-	for progress := true; progress; {
-		progress = false
-		for name, v := range db.views {
-			if db.dirty[name] || keep[name] {
-				continue
-			}
-			for _, s := range v.sources {
-				if changed[s] || db.dirty[s] {
-					db.dirty[name] = true
-					changed[name] = true
-					progress = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// LoadTable bulk-inserts rows into a base table (marking dependent views
-// stale). The engine takes ownership of the row tuples — they are stored
-// by reference, not copied — so callers must not mutate them afterwards
-// (in particular, do not reuse one row buffer across loop iterations).
+// LoadTable bulk-inserts rows into a base table. It is a write like any
+// other: rows already present are dropped, and the exact inserted delta
+// commits as one bulk-load WAL record, maintains every dependent view
+// incrementally and reaches subscribers. The engine takes ownership of the
+// row tuples — they are stored by reference, not copied — so callers must
+// not mutate them afterwards (in particular, do not reuse one row buffer
+// across loop iterations).
 func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -640,54 +552,26 @@ func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
-	// Validate every row before inserting any: a mid-load failure must not
-	// leave rows in the store that dependent views were never told about.
+	// Validate every row before committing any: the load is atomic.
 	for _, r := range rows {
 		if len(r) != decl.Arity() {
 			return fmt.Errorf("engine: row arity %d does not match table %q arity %d", len(r), name, decl.Arity())
 		}
 	}
-	p := datalog.Pred(name)
-	inserted := make([]value.Tuple, 0, len(rows))
+	// One hashed pass builds the exact delta (deduplicated, minus rows
+	// already stored); a load into an empty table skips the membership
+	// probe.
+	cur := db.store.RelOrEmpty(datalog.Pred(name), decl.Arity())
+	d := eval.NewDelta(decl.Arity())
 	for _, r := range rows {
-		if db.store.Insert(p, r) {
-			inserted = append(inserted, r)
+		if cur.Empty() || !cur.Contains(r) {
+			d.Ins.Add(r)
 		}
 	}
-	// One bulk-load WAL record for the whole load (rows already present are
-	// excluded — replaying the record from the pre-load state reproduces
-	// exactly the membership change the load made). The stale-view fallback
-	// below and the WAL cannot disagree: a bulk load marks dependent views
-	// dirty for a full refresh from base state, and recovery likewise
-	// rebuilds every view from the recovered base state, so a crash at any
-	// point yields the same refreshed views an uninterrupted run would.
-	if len(inserted) > 0 {
-		if err := db.logWrite(wal.KindBulkLoad, []wal.TableDelta{{Name: name, Arity: decl.Arity(), Ins: inserted}}); err != nil {
-			for _, r := range inserted {
-				db.store.Delete(p, r)
-			}
-			return err
-		}
+	if d.Empty() {
+		return nil
 	}
-	changed := map[string]bool{name: true}
-	db.markDependentsDirty(changed, nil)
-	// A bulk load is a visibility point like any other: subscribers of the
-	// table get the exact inserted delta; subscribers of the views just
-	// marked dirty are marked lost by publishLocked's dirty scan (no view
-	// delta exists on this path) and resync instead of silently diverging.
-	if h := db.hub; h != nil && !h.Quiet() {
-		ch := make(map[string]eval.Delta, 1)
-		if len(inserted) > 0 && h.Subscribed(name) {
-			d := eval.NewDelta(decl.Arity())
-			for _, r := range inserted {
-				d.Ins.Add(r)
-			}
-			ch[name] = d
-		}
-		db.publishLocked(ch)
-	}
-	db.autoCheckpointLocked()
-	return nil
+	return db.commitLocked(wal.KindBulkLoad, map[string]eval.Delta{name: d}, nil)
 }
 
 // Relations lists the registered base tables and views, sorted, with a

@@ -12,9 +12,9 @@ import (
 // view update cascades into them) feed net row deltas straight into every
 // clean dependent view, so steady-state writes cost O(|Δ|) instead of the
 // O(|DB|) full rematerialization the dirty flag used to force on the next
-// read. The dirty flag remains as the fallback — bulk loads, maintenance
-// errors and stale sources still mark a view dirty and refresh() fully
-// recomputes it on the next read.
+// read. Bulk loads take the same path. The dirty flag remains as the
+// fallback — maintenance errors and stale sources still mark a view dirty
+// and refresh() fully recomputes it on the next read.
 //
 // The per-write bookkeeping is O(registered views): the dependency order
 // and the predicate-overlap lists are precomputed at registration
@@ -103,7 +103,8 @@ func (db *DB) unregisterMaintenance(v *View) {
 // place, and its own net delta joins the changed set so views stacked on
 // top of it are maintained the same way. Views in keep were updated exactly
 // by the caller (the putback plan of a view-targeted transaction) and are
-// only consulted for their recorded deltas. Fallbacks:
+// only consulted for their recorded deltas. commitLocked is the only
+// caller. Fallbacks:
 //
 //   - a view that is already dirty stays dirty (its counts may not match
 //     the store; the next read fully rematerializes it);

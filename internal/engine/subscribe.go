@@ -14,10 +14,11 @@ import (
 //
 // The counting IVM computes the exact net delta of every maintained view
 // at every visibility point and used to throw it away after maintainViews.
-// Subscribe exposes it: each visibility point that publishes a WAL record
-// also publishes its per-relation deltas to the cdc.Hub, under the same
-// write lock — so hub sequence order is commit order, and a batch's deltas
-// share one sequence number (all-or-nothing visibility, same as readers).
+// Subscribe exposes it: the commit point (commitLocked) publishes every
+// write's per-relation deltas to the cdc.Hub right after its WAL record,
+// under the same write lock — so hub sequence order is commit order, and a
+// batch's deltas share one sequence number (all-or-nothing visibility,
+// same as readers).
 //
 // The hub is nil until the first Subscribe, and publish hooks bail on a
 // nil or quiet hub before allocating anything: the steady-state write path
@@ -82,7 +83,7 @@ func (db *DB) Subscribe(name string, opts cdc.SubOptions) (*cdc.Subscription, er
 // publishLocked fans one visibility point's net deltas out to the
 // subscription hub: one Publish call, one sequence number, all changed
 // relations together. Views the maintenance pass could only mark dirty
-// (fallback: bulk load, dirty source, maintenance error) have no delta —
+// (fallback: dirty source, maintenance error) have no delta —
 // their subscribers are marked lost instead, surfacing as an explicit
 // Resync rather than silent divergence. Must run under the write lock,
 // after maintainViews; with no subscribers it returns before allocating.

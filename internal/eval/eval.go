@@ -25,7 +25,6 @@ type Evaluator struct {
 	constraints []*compiledRule
 	arities     map[datalog.PredSym]int
 	parallelism int
-	mode        ExecMode // full-eval execution mode; zero value = ExecStreaming
 
 	// Counting-based incremental view maintenance state (ivm.go): the
 	// per-IDB support counts EvalDelta keeps, and the compiled delta plans
@@ -135,15 +134,11 @@ func (e *Evaluator) Eval(db *Database) error {
 }
 
 // evalPreds evaluates the IDB predicates for which include returns true (a
-// nil include evaluates all), level by level. In streaming mode (the
-// default) each rule runs its cheapest driver variant over ephemeral probe
-// tables shared through one per-evaluation context; materialized mode keeps
-// the compile-time join order and maintained indexes.
+// nil include evaluates all), level by level. Each rule runs its cheapest
+// driver variant over ephemeral probe tables shared through one
+// per-evaluation context (stream.go).
 func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) error {
-	var ec *evalCtx
-	if e.mode == ExecStreaming {
-		ec = newEvalCtx()
-	}
+	ec := newEvalCtx()
 	if e.parallelism > 1 {
 		return e.evalParallel(db, ec, include)
 	}
@@ -151,13 +146,7 @@ func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) er
 		if include != nil && !include[sym] {
 			continue
 		}
-		var err error
-		if ec != nil {
-			err = e.evalPredStreaming(db, ec, sym)
-		} else {
-			err = e.evalPredSequential(db, sym)
-		}
-		if err != nil {
+		if err := e.evalPredStreaming(db, ec, sym); err != nil {
 			return err
 		}
 	}
@@ -186,24 +175,6 @@ func (e *Evaluator) installEval(db *Database, sym datalog.PredSym, out *value.Re
 	// rebuilt from the fresh relation, instead of dropping them to be
 	// lazily reconstructed on the next evaluation.
 	db.Update(sym, out)
-}
-
-// evalPredSequential evaluates one IDB predicate's rules on the calling
-// goroutine and installs the result — the unit both the sequential
-// evaluator and the parallel scheduler's small-level fallback run, so the
-// two paths cannot drift apart.
-func (e *Evaluator) evalPredSequential(db *Database, sym datalog.PredSym) error {
-	out := value.NewRelation(e.arities[sym])
-	for _, cr := range e.rules[sym] {
-		if err := cr.run(db, func(t value.Tuple) bool {
-			out.Add(t)
-			return true
-		}); err != nil {
-			return err
-		}
-	}
-	e.installEval(db, sym, out)
-	return nil
 }
 
 // cone returns the goal's dependency cone: the IDB predicates transitively
@@ -630,19 +601,18 @@ func (e *env) get(s argSlot) value.Value {
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
 // (rels == nil) it goes through the Database, building maintained indexes on
-// demand — the materialized-mode sequential path. In prepared mode every
-// step's relation and probe structure was resolved up front (prepare for the
-// materialized parallel path, prepareStream for the streaming path), making
-// execution a pure read over the database: that is the read-only evaluation
-// snapshot parallel workers run against. A keyed step probes, in order of
-// preference, its ephemeral join/exist table (streaming), its resolved
-// maintained index, or the Database lazily.
+// demand — the path constraint checks (Violations) run. In prepared mode
+// every step's relation and probe structure was resolved up front by
+// prepareStream, making execution a pure read over the database: that is
+// the read-only evaluation snapshot parallel workers run against. A keyed
+// step probes, in order of preference, its ephemeral join/exist table, its
+// resolved maintained index, or the Database lazily.
 type runCtx struct {
 	db   *Database
 	rels []*value.Relation // per step; nil slice = lazy mode
 	ixs  []*hashIndex      // per step; non-nil for keyed steps resolved to a maintained index
-	tabs []*joinTable      // per step; streaming mode: ephemeral full join table
-	exts []*existTable     // per step; streaming mode: ephemeral distinct-key table (negation)
+	tabs []*joinTable      // per step; ephemeral full join table
+	exts []*existTable     // per step; ephemeral distinct-key table (negation)
 }
 
 // relAt returns the relation read by step i.
@@ -682,35 +652,6 @@ func (rc *runCtx) hasMatchAt(i int, st *step, key value.Tuple) bool {
 		return jt.hasMatch(key)
 	}
 	return len(rc.lookupAt(i, st, key)) > 0
-}
-
-// prepare resolves every relation and index the plan may touch, mutating the
-// database (index construction) on the calling goroutine so that the
-// returned context — shared read-only by the rule's workers — needs no
-// synchronization. Eagerly resolving a keyed step's index matches what the
-// lazy path's first probe would build.
-func (cr *compiledRule) prepare(db *Database) *runCtx {
-	rc := &runCtx{
-		db:   db,
-		rels: make([]*value.Relation, len(cr.steps)),
-		ixs:  make([]*hashIndex, len(cr.steps)),
-	}
-	for i := range cr.steps {
-		st := &cr.steps[i]
-		switch st.kind {
-		case stepScan:
-			rc.rels[i] = db.Rel(st.pred)
-			if len(st.keyPos) > 0 {
-				rc.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		case stepNegAtom:
-			rc.rels[i] = db.Rel(st.pred)
-			if !st.fullKey {
-				rc.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		}
-	}
-	return rc
 }
 
 // shardPlan decides how the rule's outer scan is partitioned across p

@@ -229,17 +229,14 @@ func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
 	if e.parallelism > 1 {
 		return e.initIVMParallel(db)
 	}
-	var ec *evalCtx
-	if e.mode == ExecStreaming {
-		ec = newEvalCtx()
-	}
+	ec := newEvalCtx()
 	counts := make(map[datalog.PredSym]*value.CountedRelation, len(e.order))
 	out := make(map[datalog.PredSym]Delta)
 	for _, sym := range e.order {
 		cnt := value.NewCounted(e.arities[sym])
 		rel := value.NewRelation(e.arities[sym])
 		for _, cr := range e.rules[sym] {
-			if err := runFull(db, ec, cr, func(t value.Tuple) bool {
+			if err := runStreaming(db, ec, cr, func(t value.Tuple) bool {
 				if appeared, _ := cnt.Adjust(t, 1); appeared {
 					rel.Add(t)
 				}

@@ -76,10 +76,7 @@ func (e *Evaluator) evalDeltaLevelParallel(dc *deltaCtx, level []datalog.PredSym
 // over disjoint derivation sets, so the merge is order-independent) and
 // installs the materialized relations in level order.
 func (e *Evaluator) initIVMParallel(db *Database) (map[datalog.PredSym]Delta, error) {
-	var ec *evalCtx
-	if e.mode == ExecStreaming {
-		ec = newEvalCtx()
-	}
+	ec := newEvalCtx()
 	counts := make(map[datalog.PredSym]*value.CountedRelation, len(e.order))
 	out := make(map[datalog.PredSym]Delta)
 	for _, level := range e.levels {
@@ -94,7 +91,7 @@ func (e *Evaluator) initIVMParallel(db *Database) (map[datalog.PredSym]Delta, er
 				cnt := value.NewCounted(e.arities[sym])
 				rel := value.NewRelation(e.arities[sym])
 				for _, cr := range e.rules[sym] {
-					if err := runFull(db, ec, cr, func(t value.Tuple) bool {
+					if err := runStreaming(db, ec, cr, func(t value.Tuple) bool {
 						if appeared, _ := cnt.Adjust(t, 1); appeared {
 							rel.Add(t)
 						}

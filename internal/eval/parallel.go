@@ -88,11 +88,11 @@ func (cr *compiledRule) outerWeight(db *Database) int {
 }
 
 // evalParallel evaluates the (included) IDB predicates level by level with
-// up to e.parallelism workers per level. A non-nil ec selects streaming
-// execution: the serial prepare phase picks each rule's cheapest driver
-// variant and builds its ephemeral probe tables (shared through ec), and
-// the variant's outer driver scan is what fans out across hash shards —
-// a worker owns one shard-rooted pipeline and merges after the barrier.
+// up to e.parallelism workers per level. The serial prepare phase picks
+// each rule's cheapest driver variant and builds its ephemeral probe tables
+// (shared through ec), and the variant's outer driver scan is what fans out
+// across hash shards — a worker owns one shard-rooted pipeline and merges
+// after the barrier.
 func (e *Evaluator) evalParallel(db *Database, ec *evalCtx, include map[datalog.PredSym]bool) error {
 	p := e.parallelism
 	for _, level := range e.levels {
@@ -120,13 +120,7 @@ func (e *Evaluator) evalParallel(db *Database, ec *evalCtx, include map[datalog.
 		}
 		if weight < parallelMinWork {
 			for _, sym := range syms {
-				var err error
-				if ec != nil {
-					err = e.evalPredStreaming(db, ec, sym)
-				} else {
-					err = e.evalPredSequential(db, sym)
-				}
-				if err != nil {
+				if err := e.evalPredStreaming(db, ec, sym); err != nil {
 					return err
 				}
 			}
@@ -202,15 +196,10 @@ func (e *Evaluator) evalParallel(db *Database, ec *evalCtx, include map[datalog.
 	return nil
 }
 
-// preparePlan resolves one rule for a parallel run: in streaming mode (ec
-// non-nil) the cheapest driver variant with its ephemeral tables, in
-// materialized mode the primary plan with its maintained indexes. The
-// returned plan is what tasks must execute (variants have their own
-// variable numbering).
+// preparePlan resolves one rule for a parallel run: the cheapest driver
+// variant with its ephemeral tables. The returned plan is what tasks must
+// execute (variants have their own variable numbering).
 func (cr *compiledRule) preparePlan(db *Database, ec *evalCtx) (*compiledRule, *runCtx) {
-	if ec != nil {
-		v := cr.pickVariant(db)
-		return v, v.prepareStream(db, ec)
-	}
-	return cr, cr.prepare(db)
+	v := cr.pickVariant(db)
+	return v, v.prepareStream(db, ec)
 }

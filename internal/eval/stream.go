@@ -39,36 +39,6 @@ import (
 	"birds/internal/value"
 )
 
-// ExecMode selects how Eval (and the counted-IVM initialization) executes
-// compiled plans. The zero value is ExecStreaming.
-type ExecMode uint8
-
-const (
-	// ExecStreaming (the default) streams each rule's chosen driver
-	// relation and probes ephemeral per-evaluation tables built on the
-	// smaller inputs.
-	ExecStreaming ExecMode = iota
-	// ExecMaterialized is the pre-streaming behavior: plans keep their
-	// compile-time join order and probe maintained hash indexes built (and
-	// registered) on the Database. Kept as the differential-test oracle and
-	// as an escape hatch.
-	ExecMaterialized
-)
-
-func (m ExecMode) String() string {
-	if m == ExecMaterialized {
-		return "materialized"
-	}
-	return "streaming"
-}
-
-// SetExecMode selects the execution mode for full evaluations. It must not
-// be called concurrently with Eval.
-func (e *Evaluator) SetExecMode(m ExecMode) { e.mode = m }
-
-// ExecModeOf reports the configured execution mode.
-func (e *Evaluator) ExecModeOf() ExecMode { return e.mode }
-
 // --- ephemeral probe tables -------------------------------------------
 
 // joinTable is a compact chained hash table over one relation's projection
@@ -247,7 +217,7 @@ func (ec *evalCtx) existTab(rel *value.Relation, positions []int) *existTable {
 // maxJoinTableLen is the largest relation an ephemeral joinTable will hold
 // (int32 chain links); beyond it prepareStream falls back to a maintained
 // index. Unreachable for in-memory relations in practice.
-const maxJoinTableLen = 1 << 31 - 1
+const maxJoinTableLen = 1<<31 - 1
 
 // streamCost scores a plan for streaming execution: the total number of
 // tuples its keyed steps would have to hash into ephemeral tables. A keyed
@@ -297,8 +267,8 @@ func (cr *compiledRule) pickVariant(db *Database) *compiledRule {
 // prepareStream resolves the plan's relations and probe structures for one
 // streaming run: maintained indexes that already exist are reused as pure
 // reads (never built, never marked hot); every other keyed step gets an
-// ephemeral table from the evaluation's cache. Like prepare, it does all
-// its work on the calling goroutine, so the returned context is a pure
+// ephemeral table from the evaluation's cache. It does all its work on the
+// calling goroutine, so the returned context is a pure
 // read over db — safe to share across parallel workers.
 func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 	rc := &runCtx{
@@ -348,18 +318,10 @@ func runStreaming(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.T
 	return err
 }
 
-// runFull executes one rule for a full evaluation in the mode selected by
-// ec: streaming (non-nil) or the lazy materialized path.
-func runFull(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple) bool) error {
-	if ec != nil {
-		return runStreaming(db, ec, cr, emit)
-	}
-	return cr.run(db, emit)
-}
-
 // evalPredStreaming evaluates one IDB predicate's rules with the streaming
-// executor and installs the result — the streaming counterpart of
-// evalPredSequential.
+// executor and installs the result — the unit both the sequential evaluator
+// and the parallel scheduler's small-level fallback run, so the two paths
+// cannot drift apart.
 func (e *Evaluator) evalPredStreaming(db *Database, ec *evalCtx, sym datalog.PredSym) error {
 	out := value.NewRelation(e.arities[sym])
 	for _, cr := range e.rules[sym] {

@@ -9,38 +9,36 @@ import (
 	"birds/internal/value"
 )
 
-// Differential harness for the streaming executor (stream.go): streaming and
-// materialized execution must agree with each other and with the naive
-// reference evaluator over the random-program corpus, at parallelism 1, 2
-// and 8; the counted-IVM initialization must produce bit-identical support
-// counts in both modes; and the streaming path's per-output-tuple allocation
-// budget is pinned so lazy pipelines never regress into per-probe
-// allocations. Run with -race: prepared streaming contexts are shared
-// read-only by parallel workers, and that discipline is part of the test.
+// Differential harness for the streaming executor (stream.go): streaming
+// execution must agree with the naive reference evaluator over the
+// random-program corpus, at parallelism 1, 2 and 8; the counted-IVM
+// initialization must produce exactly the support counts that delta
+// propagation reaches from an empty database; and the streaming path's
+// per-output-tuple allocation budget is pinned so lazy pipelines never
+// regress into per-probe allocations. Run with -race: prepared streaming
+// contexts are shared read-only by parallel workers, and that discipline is
+// part of the test.
 
-var execModes = []ExecMode{ExecStreaming, ExecMaterialized}
+var parallelisms = []int{1, 2, 8}
 
-// streamEvaluators compiles prog once per (mode, parallelism) combination.
+// streamEvaluators compiles prog once per parallelism.
 func streamEvaluators(t *testing.T, prog *datalog.Program) map[string]*Evaluator {
 	t.Helper()
 	evs := make(map[string]*Evaluator)
-	for _, mode := range execModes {
-		for _, p := range []int{1, 2, 8} {
-			ev, err := New(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev.SetExecMode(mode)
-			ev.SetParallelism(p)
-			evs[fmt.Sprintf("%s/p%d", mode, p)] = ev
+	for _, p := range parallelisms {
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ev.SetParallelism(p)
+		evs[fmt.Sprintf("p%d", p)] = ev
 	}
 	return evs
 }
 
 // TestStreamingModesMatchReferenceFuzz generates random well-formed
-// programs and EDBs and asserts streaming ≡ materialized ≡ reference for
-// every (mode, parallelism) combination.
+// programs and EDBs and asserts streaming ≡ reference at every
+// parallelism.
 func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 	forceParallelPath(t) // tiny EDBs must still exercise shard/merge
 	rng := rand.New(rand.NewSource(4321))
@@ -70,8 +68,8 @@ func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 }
 
 // TestStreamingCorpusModesMatch runs the hand-shaped corpus (joins,
-// negation, constants, comparisons, equality binding, unions) through every
-// (mode, parallelism) combination against the reference.
+// negation, constants, comparisons, equality binding, unions) through the
+// streaming executor at every parallelism against the reference.
 func TestStreamingCorpusModesMatch(t *testing.T) {
 	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(55))
@@ -138,9 +136,12 @@ func assertSameCounts(t *testing.T, prog *datalog.Program, a, b *Evaluator, labe
 }
 
 // TestStreamingCountedInitCountsIdentical pins the counted-IVM
-// initialization: streaming and materialized init must produce the same
-// IDB relations, the same reported deltas, and bit-identical support
-// counts, at parallelism 1, 2 and 8.
+// initialization, at parallelism 1, 2 and 8: the IDB relations it installs
+// must equal the reference evaluation, its reported deltas must be the
+// whole IDB (the database starts without IDB relations), and its support
+// counts must be exactly the counts EvalDelta reaches by inserting the whole
+// EDB into an empty database — an independent route through the delta
+// rules rather than the full-evaluation plans.
 func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(99177))
@@ -169,45 +170,63 @@ func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 			if db.Rel(datalog.Pred(prog.View.Name)) == nil {
 				db.Set(datalog.Pred(prog.View.Name), value.NewRelation(prog.View.Arity()))
 			}
-			for _, p := range []int{1, 2, 8} {
+			want := refEval(t, prog, db)
+			idb := prog.IDBPreds()
+			for _, p := range parallelisms {
 				label := fmt.Sprintf("program %d trial %d p=%d", pi, trial, p)
-				evStream, err := New(prog)
+				evInit, err := New(prog)
 				if err != nil {
 					t.Fatal(err)
 				}
-				evStream.SetExecMode(ExecStreaming)
-				evStream.SetParallelism(p)
-				evMat, err := New(prog)
+				evInit.SetParallelism(p)
+				dbI := db.Clone()
+				outI, err := evInit.EvalDelta(dbI, nil)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: init: %v\n%s", label, err, src)
 				}
-				evMat.SetExecMode(ExecMaterialized)
-				evMat.SetParallelism(p)
+				assertSameIDB(t, prog, dbI, want, label)
+				for sym := range idb {
+					w := want.Rel(sym)
+					d, ok := outI[sym]
+					if w == nil || w.Empty() {
+						if ok {
+							t.Fatalf("%s: init reported a delta for empty %s", label, sym)
+						}
+						continue
+					}
+					if !ok || !d.Ins.Equal(w) || !d.Del.Empty() {
+						t.Fatalf("%s: init delta for %s is not the whole relation", label, sym)
+					}
+				}
 
-				dbS, dbM := db.Clone(), db.Clone()
-				outS, err := evStream.EvalDelta(dbS, nil)
+				// The same EDB reached incrementally: counted init over
+				// empty EDB relations, then one EvalDelta inserting them.
+				evInc, err := New(prog)
 				if err != nil {
-					t.Fatalf("%s: streaming init: %v\n%s", label, err, src)
+					t.Fatal(err)
 				}
-				outM, err := evMat.EvalDelta(dbM, nil)
-				if err != nil {
-					t.Fatalf("%s: materialized init: %v\n%s", label, err, src)
-				}
-				assertSameIDB(t, prog, dbS, dbM, label)
-				assertSameCounts(t, prog, evStream, evMat, label)
-				if len(outS) != len(outM) {
-					t.Fatalf("%s: init deltas differ: %d vs %d predicates", label, len(outS), len(outM))
-				}
-				for sym, dS := range outS {
-					dM, ok := outM[sym]
-					if !ok {
-						t.Fatalf("%s: init delta for %s only in streaming", label, sym)
+				evInc.SetParallelism(p)
+				dbE := NewDatabase()
+				edb := make(map[datalog.PredSym]Delta)
+				for _, sym := range db.Preds() {
+					if idb[sym] {
+						continue
 					}
-					if !dS.Ins.Equal(dM.Ins) || !dS.Del.Equal(dM.Del) {
-						t.Fatalf("%s: init delta for %s differs\nstream=+%v -%v\nmat=+%v -%v",
-							label, sym, dS.Ins, dS.Del, dM.Ins, dM.Del)
-					}
+					rel := db.Rel(sym)
+					dbE.Set(sym, value.NewRelation(rel.Arity()))
+					edb[sym] = Delta{Ins: rel.Clone(), Del: value.NewRelation(rel.Arity())}
 				}
+				if _, err := evInc.EvalDelta(dbE, nil); err != nil {
+					t.Fatalf("%s: empty init: %v\n%s", label, err, src)
+				}
+				for sym, d := range edb {
+					d.Ins.Each(func(tu value.Tuple) { dbE.Insert(sym, tu) })
+				}
+				if _, err := evInc.EvalDelta(dbE, edb); err != nil {
+					t.Fatalf("%s: delta insert: %v\n%s", label, err, src)
+				}
+				assertSameIDB(t, prog, dbE, want, label+" (incremental)")
+				assertSameCounts(t, prog, evInit, evInc, label)
 			}
 		}
 	}

@@ -120,13 +120,11 @@ func TestTornTailSkippedAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The truncated copies are written under the legacy single-file name,
-	// so this doubles as coverage for the pre-segment replay path.
 	// Frame boundaries, computed by a clean replay of prefix sizes.
 	boundaries := frameBoundaries(t, full)
 	for cut := 0; cut <= len(full); cut++ {
 		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, LogName), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(tdir, segName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		recs, res, err := replayAll(t, tdir, 0)
