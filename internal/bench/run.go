@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"birds/internal/core"
 	"birds/internal/datalog"
-	"birds/internal/eval"
 	"birds/internal/sqlgen"
 )
 
@@ -120,7 +120,7 @@ func RunTable1Parallel(opts core.Options, workers int) []Table1Row {
 	entries := Table1()
 	rows := make([]Table1Row, len(entries))
 	if workers <= 0 {
-		workers = eval.DefaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 {
 		for i, e := range entries {

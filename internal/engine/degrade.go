@@ -107,7 +107,6 @@ func (db *DB) Reopen() error {
 	db.views = db2.views
 	db.dirty = db2.dirty
 	db.viewOrder = db2.viewOrder
-	db.parallelism = db2.parallelism
 	db.dur = db2.dur
 	db.ro = nil
 	db.reopening = false

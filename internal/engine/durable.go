@@ -238,7 +238,6 @@ func (db *DB) snapshotLocked() (*ckptSnap, error) {
 		Sync:            d.opts.Sync,
 		CheckpointEvery: d.opts.CheckpointEvery,
 		SegmentBytes:    d.opts.SegmentBytes,
-		Parallelism:     db.parallelism,
 	}
 	if b := db.batcher.Load(); b != nil {
 		ck.Batching = &wal.BatchConfig{MaxTxns: b.opts.MaxTxns, FlushInterval: b.opts.FlushInterval}
@@ -470,9 +469,6 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 	stats.CheckpointLSN = ck.LSN
 
 	db := NewDB()
-	if ck.Parallelism > 0 {
-		db.parallelism = ck.Parallelism
-	}
 
 	// Base tables: schema from the catalog, rows from the snapshot.
 	for _, ts := range ck.Tables {

@@ -116,11 +116,10 @@ view v(a:int, b:int).
 	}
 }
 
-// BenchmarkEvalParallel measures the level-parallel, hash-sharded evaluator
-// against the sequential one on scan- and join-heavy rules over a large
-// EDB — the speedup source for the Figure 6 "original" (full-strategy)
-// mode. p=1 is the sequential baseline; p=max is GOMAXPROCS workers.
-func BenchmarkEvalParallel(b *testing.B) {
+// BenchmarkEvalLarge measures full evaluation of scan- and join-heavy rules
+// over a large EDB — the cost of the Figure 6 "original" (full-strategy)
+// mode.
+func BenchmarkEvalLarge(b *testing.B) {
 	src := `
 source r(a:int, b:int).
 source s(b:int, c:int).
@@ -151,30 +150,24 @@ top(X) :- j(X,Z), Z > 5.
 		return db
 	}
 	for _, n := range []int{100000, 400000} {
-		for _, par := range []struct {
-			name string
-			p    int
-		}{{"p=1", 1}, {"p=max", 0}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, par.name), func(b *testing.B) {
-				ev, err := New(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev.SetParallelism(par.p)
-				db := mkDB(n)
-				// Warm indexes once so every iteration measures evaluation,
-				// not index construction.
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ev, err := New(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := mkDB(n)
+			// Warm indexes once so every iteration measures evaluation,
+			// not index construction.
+			if err := ev.Eval(db); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := ev.Eval(db); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := ev.Eval(db); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

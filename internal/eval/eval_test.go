@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -366,6 +367,81 @@ big(X) :- r(X), X > 100.
 	}
 }
 
+// TestEvalQueryCone verifies that EvalQuery evaluates only the goal's
+// dependency cone and leaves unrelated IDB predicates untouched.
+func TestEvalQueryCone(t *testing.T) {
+	prog := mustProg(t, `
+source r(a:int).
+source s(a:int).
+view v(a:int).
+a(X) :- r(X).
+b(X) :- a(X), s(X).
+unrelated(X) :- s(X), not r(X).
+`)
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.Set(datalog.Pred("r"), value.RelationOf(1, value.Tuple{value.Int(1)}, value.Tuple{value.Int(2)}))
+	db.Set(datalog.Pred("s"), value.RelationOf(1, value.Tuple{value.Int(2)}, value.Tuple{value.Int(3)}))
+
+	// Plant a stale relation for the unrelated predicate: a full Eval would
+	// replace it; a cone-restricted EvalQuery must not.
+	stale := value.RelationOf(1, value.Tuple{value.Int(99)})
+	db.Set(datalog.Pred("unrelated"), stale)
+
+	got, err := ev.EvalQuery(db, datalog.Pred("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := value.RelationOf(1, value.Tuple{value.Int(2)})
+	if !got.Equal(want) {
+		t.Fatalf("b = %v, want %v", got, want)
+	}
+	if a := db.Rel(datalog.Pred("a")); a == nil || a.Len() != 2 {
+		t.Fatalf("cone predicate a should be evaluated, got %v", a)
+	}
+	if u := db.Rel(datalog.Pred("unrelated")); u != stale {
+		t.Fatalf("unrelated predicate was touched: %v", u)
+	}
+	if !db.Rel(datalog.Pred("unrelated")).Contains(value.Tuple{value.Int(99)}) {
+		t.Fatal("stale contents of unrelated predicate were replaced")
+	}
+
+	// A full Eval still recomputes everything.
+	if err := ev.Eval(db); err != nil {
+		t.Fatal(err)
+	}
+	wantU := value.RelationOf(1, value.Tuple{value.Int(3)})
+	if u := db.Rel(datalog.Pred("unrelated")); !u.Equal(wantU) {
+		t.Fatalf("after full Eval, unrelated = %v, want %v", u, wantU)
+	}
+}
+
+// TestEvalQueryUnknownGoal keeps the pre-cone behavior for a goal with no
+// rules: an empty relation, no error.
+func TestEvalQueryUnknownGoal(t *testing.T) {
+	prog := mustProg(t, `
+source r(a:int).
+view v(a:int).
+a(X) :- r(X).
+`)
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.Set(datalog.Pred("r"), value.RelationOf(1, value.Tuple{value.Int(1)}))
+	got, err := ev.EvalQuery(db, datalog.Pred("nosuch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Empty() {
+		t.Fatalf("unknown goal should yield an empty relation, got %v", got)
+	}
+}
+
 func TestDatabaseIndexMaintenance(t *testing.T) {
 	db := NewDatabase()
 	p := datalog.Pred("r")
@@ -543,4 +619,131 @@ ot2(T,N,U) :- tasks(T,N,U,0), users(U,_).
 	if !strings.Contains(plan, "probe users via index on positions [0]") {
 		t.Errorf("users should be probed:\n%s", plan)
 	}
+}
+
+// The large-join workload: a 6000-tuple outer scan, an indexed join, an
+// anti-join, a comparison layer, and a two-rule union. Too large for the
+// naive reference evaluator, so largeJoinOracle computes its IDB with
+// nested loops straight from the rule semantics.
+const largeJoinProgram = `
+source r(a:int, b:int).
+source s(b:int, c:int).
+view v(a:int).
+j(X,Z) :- r(X,Y), s(Y,Z).
+lone(X,Y) :- r(X,Y), not s(Y,_).
+top(X) :- j(X,Z), Z > 150.
+u(X) :- top(X).
+u(X) :- lone(X,Y), Y >= 300.
+`
+
+func largeJoinDB() *Database {
+	db := NewDatabase()
+	r := value.NewRelation(2)
+	for i := 0; i < 6000; i++ {
+		r.Add(value.Tuple{value.Int(int64(i)), value.Int(int64(i % 500))})
+	}
+	s := value.NewRelation(2)
+	for k := 0; k < 300; k++ {
+		s.Add(value.Tuple{value.Int(int64(k)), value.Int(int64(k * 3))})
+	}
+	db.Set(datalog.Pred("r"), r)
+	db.Set(datalog.Pred("s"), s)
+	return db
+}
+
+func largeJoinOracle(db *Database) map[string]*value.Relation {
+	r, s := db.Rel(datalog.Pred("r")), db.Rel(datalog.Pred("s"))
+	j, lone := value.NewRelation(2), value.NewRelation(2)
+	top, u := value.NewRelation(1), value.NewRelation(1)
+	r.Each(func(rt value.Tuple) {
+		matched := false
+		s.Each(func(st value.Tuple) {
+			if rt[1].Equal(st[0]) {
+				matched = true
+				j.Add(value.Tuple{rt[0], st[1]})
+			}
+		})
+		if !matched {
+			lone.Add(rt)
+		}
+	})
+	j.Each(func(t value.Tuple) {
+		if t[1].AsInt() > 150 {
+			top.Add(value.Tuple{t[0]})
+			u.Add(value.Tuple{t[0]})
+		}
+	})
+	lone.Each(func(t value.Tuple) {
+		if t[1].AsInt() >= 300 {
+			u.Add(value.Tuple{t[0]})
+		}
+	})
+	return map[string]*value.Relation{"j": j, "lone": lone, "top": top, "u": u}
+}
+
+// TestLargeJoinMatchesOracle evaluates the large-join workload repeatedly
+// over one database and requires every run to produce the oracle's
+// relations and index lookups, then reaches the same EDB incrementally
+// (counted init over empty sources, one EvalDelta inserting everything)
+// and requires the same relations again.
+func TestLargeJoinMatchesOracle(t *testing.T) {
+	prog := mustProg(t, largeJoinProgram)
+	db := largeJoinDB()
+	want := largeJoinOracle(db)
+	if want["j"].Empty() || want["lone"].Empty() {
+		t.Fatal("oracle join or anti-join empty; the workload is not exercising them")
+	}
+	check := func(got *Database, label string) {
+		t.Helper()
+		for name, w := range want {
+			if g := got.Rel(datalog.Pred(name)); g == nil || !g.Equal(w) {
+				t.Fatalf("%s: %s has %v tuples, oracle has %d", label, name, g, w.Len())
+			}
+		}
+	}
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		if err := ev.Eval(db); err != nil {
+			t.Fatal(err)
+		}
+		check(db, fmt.Sprintf("run %d", run))
+		for probe := 0; probe < 50; probe++ {
+			key := value.Tuple{value.Int(int64(probe * 7 % 6000))}
+			hits := value.RelationOf(2, db.Lookup(datalog.Pred("j"), []int{0}, key)...)
+			wantHits := value.NewRelation(2)
+			want["j"].Each(func(t value.Tuple) {
+				if t[0].Equal(key[0]) {
+					wantHits.Add(t)
+				}
+			})
+			if !hits.Equal(wantHits) {
+				t.Fatalf("run %d: lookup j(%v) = %v, want %v", run, key, hits, wantHits)
+			}
+		}
+	}
+
+	inc := NewDatabase()
+	edb := make(map[datalog.PredSym]Delta)
+	for _, name := range []string{"r", "s"} {
+		sym := datalog.Pred(name)
+		inc.Set(sym, value.NewRelation(2))
+		edb[sym] = Delta{Ins: db.Rel(sym).Clone(), Del: value.NewRelation(2)}
+	}
+	evInc, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := evInc.EvalDelta(inc, nil); err != nil {
+		t.Fatal(err)
+	}
+	for sym, d := range edb {
+		d.Ins.Each(func(tu value.Tuple) { inc.Insert(sym, tu) })
+	}
+	if _, err := evInc.EvalDelta(inc, edb); err != nil {
+		t.Fatal(err)
+	}
+	check(inc, "incremental")
 }

@@ -178,8 +178,8 @@ type tabKey struct {
 }
 
 // evalCtx carries the ephemeral probe tables of one full evaluation.
-// Tables are shared across the rules (and parallel-level prepares) of that
-// evaluation and dropped when it returns.
+// Tables are shared across the rules of that evaluation and dropped when
+// it returns.
 type evalCtx struct {
 	tables map[tabKey]*joinTable
 	exists map[tabKey]*existTable
@@ -267,9 +267,8 @@ func (cr *compiledRule) pickVariant(db *Database) *compiledRule {
 // prepareStream resolves the plan's relations and probe structures for one
 // streaming run: maintained indexes that already exist are reused as pure
 // reads (never built, never marked hot); every other keyed step gets an
-// ephemeral table from the evaluation's cache. It does all its work on the
-// calling goroutine, so the returned context is a pure
-// read over db — safe to share across parallel workers.
+// ephemeral table from the evaluation's cache, so the returned context is a
+// pure read over db.
 func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 	rc := &runCtx{
 		db:   db,
@@ -319,9 +318,7 @@ func runStreaming(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.T
 }
 
 // evalPredStreaming evaluates one IDB predicate's rules with the streaming
-// executor and installs the result — the unit both the sequential evaluator
-// and the parallel scheduler's small-level fallback run, so the two paths
-// cannot drift apart.
+// executor and installs the result.
 func (e *Evaluator) evalPredStreaming(db *Database, ec *evalCtx, sym datalog.PredSym) error {
 	out := value.NewRelation(e.arities[sym])
 	for _, cr := range e.rules[sym] {

@@ -11,56 +11,35 @@ import (
 
 // Differential harness for the streaming executor (stream.go): streaming
 // execution must agree with the naive reference evaluator over the
-// random-program corpus, at parallelism 1, 2 and 8; the counted-IVM
-// initialization must produce exactly the support counts that delta
-// propagation reaches from an empty database; and the streaming path's
-// per-output-tuple allocation budget is pinned so lazy pipelines never
-// regress into per-probe allocations. Run with -race: prepared streaming
-// contexts are shared read-only by parallel workers, and that discipline is
-// part of the test.
-
-var parallelisms = []int{1, 2, 8}
-
-// streamEvaluators compiles prog once per parallelism.
-func streamEvaluators(t *testing.T, prog *datalog.Program) map[string]*Evaluator {
-	t.Helper()
-	evs := make(map[string]*Evaluator)
-	for _, p := range parallelisms {
-		ev, err := New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.SetParallelism(p)
-		evs[fmt.Sprintf("p%d", p)] = ev
-	}
-	return evs
-}
+// random-program corpus; the counted-IVM initialization must produce
+// exactly the support counts that delta propagation reaches from an empty
+// database; and the streaming path's per-output-tuple allocation budget is
+// pinned so lazy pipelines never regress into per-probe allocations.
 
 // TestStreamingModesMatchReferenceFuzz generates random well-formed
-// programs and EDBs and asserts streaming ≡ reference at every
-// parallelism.
+// programs and EDBs and asserts streaming ≡ reference.
 func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
-	forceParallelPath(t) // tiny EDBs must still exercise shard/merge
 	rng := rand.New(rand.NewSource(4321))
 	const programs, trials = 15, 3
 	for pi := 0; pi < programs; pi++ {
 		src := genProgram(rng)
 		prog := mustProg(t, src)
-		evs := streamEvaluators(t, prog)
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatalf("program %d does not compile (generator bug):\n%s\n%v", pi, src, err)
+		}
 		for trial := 0; trial < trials; trial++ {
 			db := genEDB(rng)
 			want := refEval(t, prog, db)
-			for label, ev := range evs {
-				got := db.Clone()
-				if err := ev.Eval(got); err != nil {
-					t.Fatalf("program %d trial %d %s: %v\n%s", pi, trial, label, err, src)
-				}
-				for sym := range prog.IDBPreds() {
-					w, g := want.Rel(sym), got.Rel(sym)
-					if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
-						t.Fatalf("program %d trial %d %s: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
-							pi, trial, label, sym, g, w, src, db)
-					}
+			got := db.Clone()
+			if err := ev.Eval(got); err != nil {
+				t.Fatalf("program %d trial %d: %v\n%s", pi, trial, err, src)
+			}
+			for sym := range prog.IDBPreds() {
+				w, g := want.Rel(sym), got.Rel(sym)
+				if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
+					t.Fatalf("program %d trial %d: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
+						pi, trial, sym, g, w, src, db)
 				}
 			}
 		}
@@ -69,13 +48,15 @@ func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 
 // TestStreamingCorpusModesMatch runs the hand-shaped corpus (joins,
 // negation, constants, comparisons, equality binding, unions) through the
-// streaming executor at every parallelism against the reference.
+// streaming executor against the reference.
 func TestStreamingCorpusModesMatch(t *testing.T) {
-	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(55))
 	for pi, src := range referenceCorpus {
 		prog := mustProg(t, src)
-		evs := streamEvaluators(t, prog)
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
 		edb := map[string]int{}
 		for _, s := range prog.Sources {
 			edb[s.Name] = s.Arity()
@@ -95,13 +76,11 @@ func TestStreamingCorpusModesMatch(t *testing.T) {
 				db.Set(datalog.Pred(name), rel)
 			}
 			want := refEval(t, prog, db)
-			for label, ev := range evs {
-				got := db.Clone()
-				if err := ev.Eval(got); err != nil {
-					t.Fatal(err)
-				}
-				assertSameIDB(t, prog, got, want, fmt.Sprintf("corpus %d trial %d %s", pi, trial, label))
+			got := db.Clone()
+			if err := ev.Eval(got); err != nil {
+				t.Fatal(err)
 			}
+			assertSameIDB(t, prog, got, want, fmt.Sprintf("corpus %d trial %d", pi, trial))
 		}
 	}
 }
@@ -136,14 +115,13 @@ func assertSameCounts(t *testing.T, prog *datalog.Program, a, b *Evaluator, labe
 }
 
 // TestStreamingCountedInitCountsIdentical pins the counted-IVM
-// initialization, at parallelism 1, 2 and 8: the IDB relations it installs
-// must equal the reference evaluation, its reported deltas must be the
-// whole IDB (the database starts without IDB relations), and its support
-// counts must be exactly the counts EvalDelta reaches by inserting the whole
-// EDB into an empty database — an independent route through the delta
-// rules rather than the full-evaluation plans.
+// initialization: the IDB relations it installs must equal the reference
+// evaluation, its reported deltas must be the whole IDB (the database starts
+// without IDB relations), and its support counts must be exactly the counts
+// EvalDelta reaches by inserting the whole EDB into an empty database — an
+// independent route through the delta rules rather than the full-evaluation
+// plans.
 func TestStreamingCountedInitCountsIdentical(t *testing.T) {
-	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(99177))
 	corpus := append([]string{}, referenceCorpus...)
 	for i := 0; i < 8; i++ {
@@ -172,62 +150,58 @@ func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 			}
 			want := refEval(t, prog, db)
 			idb := prog.IDBPreds()
-			for _, p := range parallelisms {
-				label := fmt.Sprintf("program %d trial %d p=%d", pi, trial, p)
-				evInit, err := New(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				evInit.SetParallelism(p)
-				dbI := db.Clone()
-				outI, err := evInit.EvalDelta(dbI, nil)
-				if err != nil {
-					t.Fatalf("%s: init: %v\n%s", label, err, src)
-				}
-				assertSameIDB(t, prog, dbI, want, label)
-				for sym := range idb {
-					w := want.Rel(sym)
-					d, ok := outI[sym]
-					if w == nil || w.Empty() {
-						if ok {
-							t.Fatalf("%s: init reported a delta for empty %s", label, sym)
-						}
-						continue
-					}
-					if !ok || !d.Ins.Equal(w) || !d.Del.Empty() {
-						t.Fatalf("%s: init delta for %s is not the whole relation", label, sym)
-					}
-				}
-
-				// The same EDB reached incrementally: counted init over
-				// empty EDB relations, then one EvalDelta inserting them.
-				evInc, err := New(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				evInc.SetParallelism(p)
-				dbE := NewDatabase()
-				edb := make(map[datalog.PredSym]Delta)
-				for _, sym := range db.Preds() {
-					if idb[sym] {
-						continue
-					}
-					rel := db.Rel(sym)
-					dbE.Set(sym, value.NewRelation(rel.Arity()))
-					edb[sym] = Delta{Ins: rel.Clone(), Del: value.NewRelation(rel.Arity())}
-				}
-				if _, err := evInc.EvalDelta(dbE, nil); err != nil {
-					t.Fatalf("%s: empty init: %v\n%s", label, err, src)
-				}
-				for sym, d := range edb {
-					d.Ins.Each(func(tu value.Tuple) { dbE.Insert(sym, tu) })
-				}
-				if _, err := evInc.EvalDelta(dbE, edb); err != nil {
-					t.Fatalf("%s: delta insert: %v\n%s", label, err, src)
-				}
-				assertSameIDB(t, prog, dbE, want, label+" (incremental)")
-				assertSameCounts(t, prog, evInit, evInc, label)
+			label := fmt.Sprintf("program %d trial %d", pi, trial)
+			evInit, err := New(prog)
+			if err != nil {
+				t.Fatal(err)
 			}
+			dbI := db.Clone()
+			outI, err := evInit.EvalDelta(dbI, nil)
+			if err != nil {
+				t.Fatalf("%s: init: %v\n%s", label, err, src)
+			}
+			assertSameIDB(t, prog, dbI, want, label)
+			for sym := range idb {
+				w := want.Rel(sym)
+				d, ok := outI[sym]
+				if w == nil || w.Empty() {
+					if ok {
+						t.Fatalf("%s: init reported a delta for empty %s", label, sym)
+					}
+					continue
+				}
+				if !ok || !d.Ins.Equal(w) || !d.Del.Empty() {
+					t.Fatalf("%s: init delta for %s is not the whole relation", label, sym)
+				}
+			}
+
+			// The same EDB reached incrementally: counted init over
+			// empty EDB relations, then one EvalDelta inserting them.
+			evInc, err := New(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbE := NewDatabase()
+			edb := make(map[datalog.PredSym]Delta)
+			for _, sym := range db.Preds() {
+				if idb[sym] {
+					continue
+				}
+				rel := db.Rel(sym)
+				dbE.Set(sym, value.NewRelation(rel.Arity()))
+				edb[sym] = Delta{Ins: rel.Clone(), Del: value.NewRelation(rel.Arity())}
+			}
+			if _, err := evInc.EvalDelta(dbE, nil); err != nil {
+				t.Fatalf("%s: empty init: %v\n%s", label, err, src)
+			}
+			for sym, d := range edb {
+				d.Ins.Each(func(tu value.Tuple) { dbE.Insert(sym, tu) })
+			}
+			if _, err := evInc.EvalDelta(dbE, edb); err != nil {
+				t.Fatalf("%s: delta insert: %v\n%s", label, err, src)
+			}
+			assertSameIDB(t, prog, dbE, want, label+" (incremental)")
+			assertSameCounts(t, prog, evInit, evInc, label)
 		}
 	}
 }

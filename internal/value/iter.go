@@ -4,14 +4,14 @@ import "iter"
 
 // Lazy tuple iteration over a relation's hash-bucket layout. The streaming
 // evaluator composes rule pipelines from these: a pipeline's root walks the
-// buckets of one relation (or one hash shard of them) without copying a
-// tuple or materializing an intermediate slice, and downstream operators
+// buckets of one relation without copying a tuple or materializing an
+// intermediate slice, and downstream operators
 // (probes, filters, projections) consume tuples one at a time. Both forms
 // are exposed:
 //
-//   - All/ShardSeq are push-style iter.Seq sequences (zero allocation,
-//     compose with range-over-func) — the form the hot evaluation loops use;
-//   - Iterator/ShardIterator are pull-style cursors built on iter.Pull for
+//   - All is a push-style iter.Seq sequence (zero allocation, composes
+//     with range-over-func) — the form the hot evaluation loops use;
+//   - Iterator is a pull-style cursor built on iter.Pull for
 //     consumers that must interleave several streams or hold their place
 //     across calls (e.g. merging two relations without a callback tower).
 //
@@ -27,29 +27,6 @@ func (r *Relation) All() iter.Seq[Tuple] {
 	buckets := r.buckets
 	return func(yield func(Tuple) bool) {
 		for _, bucket := range buckets {
-			for _, t := range bucket {
-				if !yield(t) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// ShardSeq returns a push-style sequence over the tuples of shard s out of
-// n, partitioned by hash bucket exactly as EachShard partitions them: the n
-// shards are disjoint, their union is the relation, and tuples that Equal
-// each other land in the same shard.
-func (r *Relation) ShardSeq(n, s int) iter.Seq[Tuple] {
-	if n <= 1 {
-		return r.All()
-	}
-	buckets := r.buckets
-	return func(yield func(Tuple) bool) {
-		for h, bucket := range buckets {
-			if h%uint64(n) != uint64(s) {
-				continue
-			}
 			for _, t := range bucket {
 				if !yield(t) {
 					return
@@ -78,13 +55,5 @@ func (it *Iterator) Stop() { it.stop() }
 // The caller must either drain it or call Stop.
 func (r *Relation) Iterator() *Iterator {
 	next, stop := iter.Pull(r.All())
-	return &Iterator{next: next, stop: stop}
-}
-
-// ShardIterator returns a pull-style cursor over the tuples of shard s out
-// of n (the EachShard partitioning). The caller must either drain it or
-// call Stop.
-func (r *Relation) ShardIterator(n, s int) *Iterator {
-	next, stop := iter.Pull(r.ShardSeq(n, s))
 	return &Iterator{next: next, stop: stop}
 }

@@ -48,9 +48,6 @@ type Checkpoint struct {
 	Sync            SyncMode
 	CheckpointEvery int
 	SegmentBytes    int64
-	// Parallelism restores the engine's evaluator worker budget (0 = the
-	// engine default, i.e. sequential until SetParallelism is called).
-	Parallelism int
 }
 
 // TableState is one base table: schema and full contents.
@@ -83,7 +80,7 @@ type BatchConfig struct {
 }
 
 const (
-	ckptMagic  = "BIRDSCKPT\x02"
+	ckptMagic  = "BIRDSCKPT\x03"
 	ckptSuffix = ".ckpt"
 	ckptPrefix = "checkpoint-"
 	tmpSuffix  = ".tmp"
@@ -228,7 +225,6 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	buf = append(buf, byte(ck.Sync))
 	buf = binary.AppendUvarint(buf, uint64(ck.CheckpointEvery))
 	buf = binary.AppendVarint(buf, ck.SegmentBytes)
-	buf = binary.AppendVarint(buf, int64(ck.Parallelism))
 	if ck.Batching != nil {
 		buf = append(buf, 1)
 		buf = binary.AppendVarint(buf, int64(ck.Batching.MaxTxns))
@@ -279,7 +275,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.Sync = SyncMode(d.byte())
 	ck.CheckpointEvery = int(d.uvarint())
 	ck.SegmentBytes = d.varint()
-	ck.Parallelism = int(d.varint())
 	if d.byte() == 1 {
 		ck.Batching = &BatchConfig{
 			MaxTxns:       int(d.varint()),

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -540,7 +542,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		LSN:             42,
 		Sync:            SyncOnFlush,
 		CheckpointEvery: 512,
-		Parallelism:     4,
 		Batching:        &BatchConfig{MaxTxns: 64, FlushInterval: 5 * time.Millisecond},
 		Tables: []TableState{{
 			Name:  "items",
@@ -563,7 +564,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 42 || got.Sync != SyncOnFlush || got.CheckpointEvery != 512 || got.Parallelism != 4 {
+	if got.LSN != 42 || got.Sync != SyncOnFlush || got.CheckpointEvery != 512 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if got.Batching == nil || got.Batching.MaxTxns != 64 || got.Batching.FlushInterval != 5*time.Millisecond {
@@ -579,6 +580,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.Views) != 1 || got.Views[0].Program != ck.Views[0].Program ||
 		len(got.Views[0].Get) != 1 || got.Views[0].Get[0] != ck.Views[0].Get[0] || !got.Views[0].Incremental {
 		t.Fatalf("views mismatch: %+v", got.Views)
+	}
+}
+
+// TestCheckpointRejectsPreviousFormat re-stamps a valid checkpoint with the
+// previous format's magic and a matching CRC: its body is laid out one
+// field differently, so it must be refused outright rather than decoded
+// out of step.
+func TestCheckpointRejectsPreviousFormat(t *testing.T) {
+	data := encodeCheckpoint(&Checkpoint{LSN: 7, CheckpointEvery: 8})
+	copy(data, "BIRDSCKPT\x02")
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crcTable))
+	_, err := decodeCheckpoint(data)
+	if err == nil || err.Error() != "bad checkpoint magic" {
+		t.Fatalf("decode of a previous-format checkpoint: err = %v, want bad checkpoint magic", err)
 	}
 }
 
