@@ -681,35 +681,52 @@ func largeJoinOracle(db *Database) map[string]*value.Relation {
 	return map[string]*value.Relation{"j": j, "lone": lone, "top": top, "u": u}
 }
 
-// TestLargeJoinMatchesOracle evaluates the large-join workload repeatedly
-// over one database and requires every run to produce the oracle's
-// relations and index lookups, then reaches the same EDB incrementally
-// (counted init over empty sources, one EvalDelta inserting everything)
-// and requires the same relations again.
-func TestLargeJoinMatchesOracle(t *testing.T) {
-	prog := mustProg(t, largeJoinProgram)
-	db := largeJoinDB()
-	want := largeJoinOracle(db)
+// checkLargeJoin requires every oracle relation of the large-join workload
+// to be present in got with exactly the oracle's tuples.
+func checkLargeJoin(t *testing.T, got *Database, want map[string]*value.Relation, label string) {
+	t.Helper()
+	for name, w := range want {
+		if g := got.Rel(datalog.Pred(name)); g == nil || !g.Equal(w) {
+			t.Fatalf("%s: %s has %v tuples, oracle has %d", label, name, g, w.Len())
+		}
+	}
+}
+
+// largeJoinWant returns the oracle relations for largeJoinDB, failing the
+// test if the join or the anti-join is empty.
+func largeJoinWant(t *testing.T) map[string]*value.Relation {
+	t.Helper()
+	want := largeJoinOracle(largeJoinDB())
 	if want["j"].Empty() || want["lone"].Empty() {
 		t.Fatal("oracle join or anti-join empty; the workload is not exercising them")
 	}
-	check := func(got *Database, label string) {
-		t.Helper()
-		for name, w := range want {
-			if g := got.Rel(datalog.Pred(name)); g == nil || !g.Equal(w) {
-				t.Fatalf("%s: %s has %v tuples, oracle has %d", label, name, g, w.Len())
-			}
-		}
-	}
-	ev, err := New(prog)
+	return want
+}
+
+// TestParallelDeterminism evaluates the large-join workload repeatedly,
+// on one evaluator reused over one database and on fresh evaluators, and
+// requires every run to produce the oracle's relations and index lookups.
+// (The name dates from when evaluation could be sharded across workers;
+// the repeated-run determinism check applies to the sequential evaluator.)
+func TestParallelDeterminism(t *testing.T) {
+	prog := mustProg(t, largeJoinProgram)
+	want := largeJoinWant(t)
+	db := largeJoinDB()
+	reused, err := New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		if err := ev.Eval(db); err != nil {
+		fresh, err := New(prog)
+		if err != nil {
 			t.Fatal(err)
 		}
-		check(db, fmt.Sprintf("run %d", run))
+		for _, ev := range []*Evaluator{reused, fresh} {
+			if err := ev.Eval(db); err != nil {
+				t.Fatal(err)
+			}
+			checkLargeJoin(t, db, want, fmt.Sprintf("run %d", run))
+		}
 		for probe := 0; probe < 50; probe++ {
 			key := value.Tuple{value.Int(int64(probe * 7 % 6000))}
 			hits := value.RelationOf(2, db.Lookup(datalog.Pred("j"), []int{0}, key)...)
@@ -724,6 +741,25 @@ func TestLargeJoinMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelLargeMatchesSequential checks the large-join workload against
+// the nested-loop oracle along both evaluation routes: one full Eval, and
+// the incremental route (counted init over empty sources, then one
+// EvalDelta inserting everything). (The name dates from when this compared
+// a sharded evaluation with a sequential one.)
+func TestParallelLargeMatchesSequential(t *testing.T) {
+	prog := mustProg(t, largeJoinProgram)
+	want := largeJoinWant(t)
+	db := largeJoinDB()
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Eval(db); err != nil {
+		t.Fatal(err)
+	}
+	checkLargeJoin(t, db, want, "full")
 
 	inc := NewDatabase()
 	edb := make(map[datalog.PredSym]Delta)
@@ -745,5 +781,5 @@ func TestLargeJoinMatchesOracle(t *testing.T) {
 	if _, err := evInc.EvalDelta(inc, edb); err != nil {
 		t.Fatal(err)
 	}
-	check(inc, "incremental")
+	checkLargeJoin(t, inc, want, "incremental")
 }
